@@ -51,15 +51,50 @@ class FrequencyGrid:
         return cls(1 << (n - 1).bit_length())
 
 
-def support_width(f: PMF) -> int:
-    """Length of the smallest integer interval containing the support and 0.
+def span_width(lo: int, hi: int) -> int:
+    """Length of the smallest integer interval containing lo..hi and 0.
 
     The origin is included because the linear phase of the offset is part of
     what the grid must resolve.
     """
-    lo = min(f.offset, 0)
-    hi = max(f.offset + len(f) - 1, 0)
-    return hi - lo + 1
+    return max(hi, 0) - min(lo, 0) + 1
+
+
+def support_width(f: PMF) -> int:
+    """:func:`span_width` of the support of ``f``."""
+    return span_width(f.offset, f.offset + len(f) - 1)
+
+
+def require_resolution(lo: int, hi: int, grid: FrequencyGrid) -> None:
+    """Raise :class:`GridTooCoarse` unless the grid has at least
+    ``4 * span_width(lo, hi)`` points.
+
+    That keeps the true phase increment of a charfn with support lo..hi
+    below pi per grid step, so the downstream unwrap cannot skip a wrap.
+    """
+    w = span_width(lo, hi)
+    if grid.n_points < 4 * w:
+        raise GridTooCoarse(
+            f"support width {w} needs at least {4 * w} grid points, "
+            f"got {grid.n_points}"
+        )
+
+
+def integer_samples(samples) -> np.ndarray:
+    """The samples as a 1-D int64 array.
+
+    Raises :class:`EmptySample` when there are none and ValueError unless
+    they form a 1-D vector of integers.
+    """
+    x = np.asarray(samples)
+    if x.size == 0:
+        raise EmptySample("no samples")
+    if x.ndim != 1:
+        raise ValueError("samples must be a 1-D vector")
+    xi = np.asarray(x, dtype=np.int64)
+    if not np.array_equal(xi, x):
+        raise ValueError("samples must be integers")
+    return xi
 
 
 def _alternating(n: int) -> np.ndarray:
@@ -169,16 +204,10 @@ def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
     """Evaluate Phi(mu) = sum_xi f[xi] e^{j mu xi} on the grid.
 
     Zero-padded DFT with the offset folded in as part of the index lattice.
-    Requires ``N >= 4 * support_width(f)``: that keeps the true phase
-    increment per grid step below pi, so the downstream unwrap cannot skip
-    a wrap.  Raises :class:`GridTooCoarse` otherwise.
+    Requires ``N >= 4 * support_width(f)`` (:func:`require_resolution`);
+    raises :class:`GridTooCoarse` otherwise.
     """
-    w = support_width(f)
-    if grid.n_points < 4 * w:
-        raise GridTooCoarse(
-            f"support width {w} needs at least {4 * w} grid points, "
-            f"got {grid.n_points}"
-        )
+    require_resolution(f.offset, f.offset + len(f) - 1, grid)
     vals = grid_synthesis(f.probs, f.offset, grid)
     return CharFnSamples(grid, vals, "exact-from-pmf")
 
@@ -188,17 +217,12 @@ def empirical_charfn(samples, grid: FrequencyGrid) -> CharFnSamples:
 
     Samples must be integers; the sum is evaluated exactly at the grid
     points through a bin count (no aliasing guard is needed because the
-    grid kernel is periodic in the sample values).  Not clipped to the unit
-    disk: the estimate may exceed one in modulus and that is informative.
+    grid kernel is periodic in the sample values; unwrapping the phase does
+    need one, which :func:`estimate_muculants` applies).  Not clipped to the
+    unit disk: the estimate may exceed one in modulus and that is
+    informative.
     """
-    x = np.asarray(samples)
-    if x.size == 0:
-        raise EmptySample("no samples")
-    if x.ndim != 1:
-        raise ValueError("samples must be a 1-D vector")
-    xi = np.asarray(x, dtype=np.int64)
-    if not np.array_equal(xi, x):
-        raise ValueError("samples must be integers")
+    xi = integer_samples(samples)
     lo = int(xi.min())
     return CharFnSamples(grid, histogram_charfn(np.bincount(xi - lo), lo, grid), "empirical")
 

@@ -17,9 +17,12 @@ from .charfn import (
     complex_log,
     empirical_charfn,
     histogram_charfn,
+    integer_samples,
     log_charfn,
+    require_resolution,
+    span_width,
 )
-from .errors import CharFnVanishes, EmptySample, NegativeSampleValue
+from .errors import CharFnVanishes, NegativeSampleValue
 from .transform import MuculantSeq, complex_coefficients, complex_muculants
 
 # Empirical charfn floor: below this the sample spread is too heavy for the
@@ -63,26 +66,12 @@ class PoissonTestResult:
     n_bootstrap_used: int
 
 
-def _integer_samples(samples) -> np.ndarray:
-    x = np.asarray(samples)
-    if x.size == 0:
-        raise EmptySample("no samples")
-    if x.ndim != 1:
-        raise ValueError("samples must be a 1-D vector")
-    xi = np.asarray(x, dtype=np.int64)
-    if not np.array_equal(xi, x):
-        raise ValueError("samples must be integers")
-    return xi
-
-
 def grid_for_samples(samples) -> FrequencyGrid:
     """Grid sized for sample data: eight points per support index keeps the
     unwrap safe even for bootstrap resamples that overshoot the observed
     maximum."""
-    xi = _integer_samples(samples)
-    lo = min(int(xi.min()), 0)
-    hi = max(int(xi.max()), 0)
-    need = max(128, 8 * (hi - lo + 1))
+    xi = integer_samples(samples)
+    need = max(128, 8 * span_width(int(xi.min()), int(xi.max())))
     return FrequencyGrid(1 << (need - 1).bit_length())
 
 
@@ -90,14 +79,19 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     """Coefficient estimates from i.i.d. integer draws.
 
     Plugs the empirical charfn into the transform.  Requires at least 100
-    samples; raises :class:`CharFnVanishes` when the empirical charfn dips
-    below 1e-3 anywhere on the grid, which happens when the spread of the
-    law is heavy relative to the sample size (the estimate would be pure
-    noise there, and the coefficients may not exist at all).
+    samples and, as :func:`eval_charfn` does for PMFs, a grid of at least
+    four points per index of the sample range with the origin included
+    (:class:`GridTooCoarse` otherwise: a coarser grid lets the phase unwrap
+    skip a wrap and return wrong coefficients).  Raises
+    :class:`CharFnVanishes` when the empirical charfn dips below 1e-3
+    anywhere on the grid, which happens when the spread of the law is heavy
+    relative to the sample size (the estimate would be pure noise there,
+    and the coefficients may not exist at all).
     """
-    xi = _integer_samples(samples)
+    xi = integer_samples(samples)
     if xi.size < MIN_SAMPLE_SIZE:
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
+    require_resolution(int(xi.min()), int(xi.max()), grid)
     cf = empirical_charfn(xi, grid)
     low = float(np.min(np.abs(cf.values)))
     if low < EMPIRICAL_FLOOR:
@@ -217,7 +211,7 @@ def poisson_test(
     Exit states: errors for negative or non-integer samples, fewer than
     100 observations, or an uninformative window.
     """
-    xi = _integer_samples(samples)
+    xi = integer_samples(samples)
     if np.min(xi) < 0:
         raise NegativeSampleValue("Poisson samples must be nonnegative")
     if xi.size < MIN_SAMPLE_SIZE:

@@ -145,6 +145,10 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     c[0] = ln f[0],
     c[n] = f[n]/f[0] - sum_{k=1}^{n-1} (k/n) c[k] f[n-k]/f[0]  for n >= 1.
 
+    The sum is one dot product of the running weights k * c[k] with the
+    reversed ratios f[n-k]/f[0], so the O(n_max^2) flops run inside numpy
+    and only O(n_max) Python steps remain.
+
     No transform, no grid, no phase unwrap; this is the independent route
     used to cross-check the spectral pipeline.  Valid only for
     minimum-phase inputs (the recursion silently computes the minimum-phase
@@ -163,11 +167,10 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     ratio[:take] = f.probs[:take] / p0
     vals = np.zeros(n_max + 1)
     vals[0] = np.log(p0)
+    weighted = np.zeros(n_max + 1)  # k * c[k]
     for m in range(1, n_max + 1):
-        acc = ratio[m]
-        for k in range(1, m):
-            acc -= (k / m) * vals[k] * ratio[m - k]
-        vals[m] = acc
+        vals[m] = ratio[m] - np.dot(weighted[1:m], ratio[m - 1 : 0 : -1]) / m
+        weighted[m] = m * vals[m]
     return MuculantSeq(0, n_max, vals, "complex", 0.0)
 
 

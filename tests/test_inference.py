@@ -7,6 +7,7 @@ from muculants import (
     EmptySample,
     FrequencyGrid,
     Geometric,
+    GridTooCoarse,
     NegativeSampleValue,
     Poisson,
     estimate_muculants,
@@ -69,6 +70,39 @@ def test_estimate_refuses_vanishing_empirical_charfn():
     xi = np.array([0] * 50 + [4] * 50)
     with pytest.raises(CharFnVanishes):
         estimate_muculants(xi, grid_for_samples(xi), 5)
+
+
+def shifted_poisson_sample():
+    # a law far from the origin: the grid must resolve its linear phase
+    return 100 + np.random.default_rng(0).poisson(0.5, 2000)
+
+
+def test_estimate_refuses_grid_too_coarse_for_sample_range():
+    # on 64 points the unwrap skips wraps and c[1] came out near 28
+    xi = shifted_poisson_sample()
+    with pytest.raises(GridTooCoarse):
+        estimate_muculants(xi, FrequencyGrid(64), 2)
+    with pytest.raises(GridTooCoarse):
+        estimate_muculants(xi, FrequencyGrid(256), 2)
+
+
+def test_default_sample_grid_resolves_shifted_law():
+    xi = shifted_poisson_sample()
+    est = estimate_muculants(xi, grid_for_samples(xi), 2)
+    assert est.value_at(1) == pytest.approx(100.5, abs=0.1)
+
+
+def test_sample_grid_rule_counts_the_origin():
+    # -10..5 spans 16 indices: 64 points suffice; -10..6 needs 68
+    xi = np.array([0] * 198 + [-10, 5])
+    estimate_muculants(xi, FrequencyGrid(64), 2)
+    xi[-1] = 6
+    with pytest.raises(GridTooCoarse):
+        estimate_muculants(xi, FrequencyGrid(64), 2)
+    # the origin widens a range that lies on one side of it: 1..16 spans 17
+    xi = np.array([1] * 198 + [16, 16])
+    with pytest.raises(GridTooCoarse):
+        estimate_muculants(xi, FrequencyGrid(64), 2)
 
 
 # ----------------------------------------------------------------- statistic

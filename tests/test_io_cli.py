@@ -171,6 +171,21 @@ def test_cli_estimates_from_sample_file(capsys, tmp_path):
     assert doc["values"][3] == pytest.approx(-2.0, abs=0.1)
 
 
+def test_cli_refuses_sample_grid_too_coarse(capsys, tmp_path):
+    p = tmp_path / "shift.txt"
+    xs = 100 + np.random.default_rng(0).poisson(0.5, 2000)
+    p.write_text("\n".join(str(x) for x in xs))
+    code, out, err = run_cli(
+        capsys, "muculants", "--input", str(p), "--grid", "64", "--n-max", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: GridTooCoarse: ")
+    code, out, _ = run_cli(capsys, "muculants", "--input", str(p), "--n-max", "2")
+    assert code == 0
+    assert json.loads(out)["values"][3] == pytest.approx(100.5, abs=0.1)  # n = 1
+
+
 def test_cli_cumulants_exact_for_geometric(capsys):
     code, out, _ = run_cli(
         capsys, "cumulants", "--dist", "geometric:p=0.5", "--k-max", "2"

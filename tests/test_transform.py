@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from muculants import (
+    Bernoulli,
+    Binomial,
     CharFnVanishes,
     FrequencyGrid,
     Geometric,
     ImagResidualTooLarge,
     LogCharFnSamples,
     MuculantSeq,
+    NegativeBinomial,
     NotApplicable,
     Poisson,
     SupportTooSmall,
@@ -158,13 +161,62 @@ def test_recursion_on_point_mass():
 
 
 def test_recursion_agrees_with_integral_route():
-    from muculants import Binomial
-
     f = zoo_pmf(Binomial(3, 0.3))
     rec = recursive_minphase_muculants(f, 20)
     grid = grid_muculants(f, 4096, 20)
     for n in range(0, 21):
         assert rec.value_at(n) == pytest.approx(grid.value_at(n), abs=1e-9)
+
+
+def reference_recursion(f, n_max):
+    """The recursion as an explicit double loop, one term at a time."""
+    p0 = float(f.probs[0])
+    ratio = np.zeros(n_max + 1)
+    take = min(n_max + 1, len(f))
+    ratio[:take] = f.probs[:take] / p0
+    vals = np.zeros(n_max + 1)
+    vals[0] = np.log(p0)
+    for m in range(1, n_max + 1):
+        acc = ratio[m]
+        for k in range(1, m):
+            acc -= (k / m) * vals[k] * ratio[m - k]
+        vals[m] = acc
+    return vals
+
+
+MINPHASE_LAWS = [
+    Poisson(3.5),
+    Geometric(0.2),  # PMF of length 124, longer than n_max = 30 below
+    Bernoulli(0.4),
+    Binomial(10, 0.2),
+    NegativeBinomial(3, 0.3),
+]
+
+
+@pytest.mark.parametrize("spec", MINPHASE_LAWS, ids=repr)
+def test_recursion_matches_reference_loop(spec):
+    f = zoo_pmf(spec)
+    for n_max in (1000, 30):
+        rec = recursive_minphase_muculants(f, n_max)
+        assert (rec.n_min, rec.n_max, rec.kind, rec.imag_residual) == (0, n_max, "complex", 0.0)
+        np.testing.assert_allclose(rec.values, reference_recursion(f, n_max), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", MINPHASE_LAWS, ids=repr)
+def test_recursion_matches_closed_forms_to_1000(spec):
+    rec = recursive_minphase_muculants(zoo_pmf(spec), 1000)
+    want = zoo_muculants(spec, (0, 1000)).values
+    np.testing.assert_allclose(rec.values, want, rtol=0, atol=1e-9)
+
+
+def test_recursion_n_max_zero_gives_log_leading_probability():
+    f = geometric_pmf(0.2)
+    assert len(f) > 1
+    rec = recursive_minphase_muculants(f, 0)
+    assert (rec.n_min, rec.n_max) == (0, 0)
+    np.testing.assert_array_equal(rec.values, [np.log(0.2)])
+    with pytest.raises(ValueError):
+        recursive_minphase_muculants(f, -1)
 
 
 def test_recursion_requires_causal_start():
