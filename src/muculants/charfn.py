@@ -116,7 +116,7 @@ def grid_synthesis(coeffs, offset: int, grid: FrequencyGrid) -> np.ndarray:
     folded = np.zeros(c.shape[:-1] + (n,))
     idx = (int(offset) + np.arange(c.shape[-1])) % n
     np.add.at(folded, (..., idx), c)
-    return np.fft.ifft(folded * _alternating(n)) * n
+    return np.fft.ifft(folded * _alternating(n), norm="forward")
 
 
 def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
@@ -129,9 +129,8 @@ def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     if np.any(np.abs(ns) > n // 2):
         raise ValueError("requested index beyond the grid's unaliased range")
-    coef = np.fft.fft(v) / n
     signs = np.where(ns % 2 == 0, 1.0, -1.0)
-    return signs * coef[..., ns % n]
+    return signs * (np.fft.fft(v)[..., ns % n] / n)
 
 
 def check_charfn_values(values: np.ndarray) -> None:
@@ -141,8 +140,12 @@ def check_charfn_values(values: np.ndarray) -> None:
     v = values
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    partner = np.concatenate([v[..., :1], v[..., 1:][..., ::-1]], axis=-1)
-    if np.max(np.abs(v - np.conj(partner))) > _HERMITIAN_TOL:
+    # index k pairs with N - k; 0 (mu = -pi) and N/2 (mu = 0) pair with
+    # themselves, where |v - conj(v)| = 2|Im v|
+    h = v.shape[-1] // 2
+    pairs = np.abs(v[..., 1:h] - np.conj(v[..., :h:-1]))
+    selves = 2.0 * np.abs(v[..., ::h].imag)
+    if max(np.max(pairs), np.max(selves)) > _HERMITIAN_TOL:
         raise ValueError("samples are not Hermitian within 1e-10")
 
 

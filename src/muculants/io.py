@@ -14,6 +14,8 @@ from .inference import PoissonTestResult
 from .pmf import PMF, CumulantVector, SignedSequence, validate_pmf
 from .transform import MuculantSeq
 
+_INT64 = np.iinfo(np.int64)
+
 
 def format_number(x) -> str:
     """Render one number: 17 significant digits for floats, plain for ints."""
@@ -185,20 +187,35 @@ def test_result_to_dict(r: PoissonTestResult) -> dict:
 # file readers
 
 def read_samples(path) -> np.ndarray:
-    """Newline-delimited signed integers; '#' starts a comment."""
-    values = []
+    """Newline-delimited signed 64-bit integers; '#' starts a comment.
+
+    Each line is parsed by ``int()``'s rules (surrounding whitespace, a
+    sign, ``_`` separators and Unicode digits are accepted).  ValueError
+    names the first line that is not an integer or does not fit in int64.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
+        text = fh.read()  # text mode already maps \r\n and \r to \n
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    kept = list(filter(str.strip, lines))
+    if not kept:
+        raise EmptySample(f"{path}: no samples")
+    try:
+        return np.array(kept, dtype=np.int64)  # int() on each string, in C
+    except (ValueError, OverflowError):
+        # find the line to name; a clean pass re-raises numpy's own error
+        for lineno, line in enumerate(lines, 1):
+            body = line.strip()
             if not body:
                 continue
             try:
-                values.append(int(body))
+                value = int(body)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not an integer: {body!r}") from None
-    if not values:
-        raise EmptySample(f"{path}: no samples")
-    return np.asarray(values, dtype=np.int64)
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{path}:{lineno}: not a 64-bit integer: {body!r}") from None
+        raise
 
 
 def read_json(path) -> dict:

@@ -19,6 +19,7 @@ from muculants import (
     unwrap_phase,
     validate_pmf,
 )
+from muculants.charfn import check_charfn_values
 
 from support import random_pmf
 
@@ -88,6 +89,92 @@ def test_analysis_rejects_aliased_indices():
     vals = grid_synthesis([1.0], 0, g)
     with pytest.raises(ValueError):
         grid_analysis(vals, [33])
+
+
+# Straightforward forms of the grid kernels: scale the whole inverse FFT by N,
+# divide the whole forward FFT by N, compare every sample with its partner.
+# The kernels must reproduce them bit for bit, and the check its decisions.
+
+def reference_grid_synthesis(coeffs, offset, grid):
+    n = grid.n_points
+    c = np.asarray(coeffs, dtype=np.float64)
+    folded = np.zeros(c.shape[:-1] + (n,))
+    np.add.at(folded, (..., (int(offset) + np.arange(c.shape[-1])) % n), c)
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return np.fft.ifft(folded * alt) * n
+
+
+def reference_grid_analysis(values, ns):
+    n = values.shape[-1]
+    ns = np.asarray(ns, dtype=np.int64)
+    coef = np.fft.fft(values) / n
+    return np.where(ns % 2 == 0, 1.0, -1.0) * coef[..., ns % n]
+
+
+def reference_is_hermitian(v):
+    partner = np.concatenate([v[..., :1], v[..., 1:][..., ::-1]], axis=-1)
+    return np.max(np.abs(v - np.conj(partner))) <= 1e-10
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    for n in (64, 128, 1024):
+        g = FrequencyGrid(n)
+        for shape in ((1,), (7,), (n - 3,), (n + 9,), (3, 12), (5, 40)):
+            for offset in (0, -7, 5, -n - 3, 2 * n + 1):
+                yield g, rng.normal(size=shape), offset
+        counts = rng.poisson(3.0, size=(4, 20)).astype(float)
+        yield g, counts / counts.sum(axis=-1, keepdims=True), -2
+
+
+def test_grid_synthesis_matches_reference_bit_for_bit():
+    for g, coeffs, offset in _kernel_cases():
+        got = grid_synthesis(coeffs, offset, g)
+        want = reference_grid_synthesis(coeffs, offset, g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (g, coeffs.shape, offset)
+
+
+def test_grid_analysis_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for g, coeffs, offset in _kernel_cases():
+        h = g.n_points // 2
+        vals = grid_synthesis(coeffs, offset, g)
+        noisy = vals + rng.normal(size=vals.shape) + 1j * rng.normal(size=vals.shape)
+        for ns in (np.arange(-h, h + 1), [3, -1, 0, h, -h, 2], [-5]):
+            for v in (vals, noisy):
+                got = grid_analysis(v, ns)
+                assert got.tobytes() == reference_grid_analysis(v, ns).tobytes()
+
+
+def test_hermitian_check_matches_reference():
+    n, h = 128, 64
+    rng = np.random.default_rng(13)
+    stacked = grid_synthesis(rng.dirichlet(np.ones(9), size=4), -3, FrequencyGrid(n))
+    for v in (stacked[0], stacked):
+        assert reference_is_hermitian(v)
+        check_charfn_values(v)
+    # (index, added value, refused): a pair k / N - k, then the self-paired
+    # samples 0 (mu = -pi) and N/2 (mu = 0), where only the imaginary part counts
+    cases = [
+        (5, 2e-10, True), (n - 5, 2e-10, True), (1, -2e-10, True), (7, 5e-11, False),
+        (0, 2e-10j, True), (h, 2e-10j, True), (0, 6e-11j, True), (h, -6e-11j, True),
+        (0, 4e-11j, False), (h, -4e-11j, False), (h, 1e-3, False),
+    ]
+    for index, step, refused in cases:
+        for v in (stacked[2], stacked):
+            bad = v.copy()
+            bad[..., index] += step
+            assert reference_is_hermitian(bad) is not refused
+            if refused:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    check_charfn_values(bad)
+            else:
+                check_charfn_values(bad)
+    bad = stacked.copy()
+    bad[1, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        check_charfn_values(bad)
 
 
 def test_eval_charfn_basics():

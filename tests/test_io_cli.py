@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,9 +122,43 @@ def test_read_samples_reports_bad_line(tmp_path):
 
 def test_read_samples_empty_file(tmp_path):
     p = tmp_path / "xs.txt"
-    p.write_text("# nothing\n")
-    with pytest.raises(EmptySample):
+    for text in ("# nothing\n", "", "# a\n\n   \n# b"):
+        p.write_text(text)
+        with pytest.raises(EmptySample):
+            read_samples(p)
+
+
+def test_read_samples_line_endings(tmp_path):
+    p = tmp_path / "xs.txt"
+    for raw in (b"1\r\n-2\r\n\r\n3\r\n", b"1\r-2\r\r3", b"1\n-2\r\n\r3"):
+        p.write_bytes(raw)
+        np.testing.assert_array_equal(read_samples(p), [1, -2, 3])
+    p.write_bytes(b"1\r\r\nx\r")
+    with pytest.raises(ValueError, match=r":3: not an integer: 'x'$"):
         read_samples(p)
+
+
+def test_read_samples_comments_whitespace_and_signs(tmp_path):
+    p = tmp_path / "xs.txt"
+    p.write_text("5 # note\n#5\n  \n\t\n+3\n 7#x\n-0\n")
+    got = read_samples(p)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, [5, 3, 7, 0])
+
+
+def test_read_samples_refuses_two_values_on_a_line(tmp_path):
+    p = tmp_path / "xs.txt"
+    p.write_text("1\n3 4\n5\n")
+    with pytest.raises(ValueError, match=r":2: not an integer: '3 4'$"):
+        read_samples(p)
+
+
+def test_read_samples_line_numbers_count_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "xs.txt"
+    p.write_text("# header\n\n1\n\n  # c\nfoo # why\n2\n")
+    with pytest.raises(ValueError) as exc:
+        read_samples(p)
+    assert str(exc.value) == f"{p}:6: not an integer: 'foo'"
 
 
 # ----------------------------------------------------------------- commands
@@ -280,3 +318,77 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_read_samples_refuses_values_beyond_int64(tmp_path):
+    p = tmp_path / "xs.txt"
+    edges = [-(2**63), 2**63 - 1]
+    p.write_text("".join(f"{v}\n" for v in edges))
+    np.testing.assert_array_equal(read_samples(p), edges)
+    for big in ("99999999999999999999", str(2**63), str(-(2**63) - 1)):
+        p.write_text(f"1\n# c\n{big} # too big\n2\n")
+        with pytest.raises(ValueError) as exc:
+            read_samples(p)
+        assert str(exc.value) == f"{p}:3: not a 64-bit integer: {big!r}"
+
+
+def test_cli_sample_beyond_int64_exits_two(capsys, tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("1\n2\n99999999999999999999\n")
+    code, out, err = run_cli(capsys, "muculants", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {p}:3: not a 64-bit integer: '99999999999999999999'\n"
+
+
+def test_cli_negative_samples(capsys, tmp_path):
+    # signed samples are valid input; only the Poissonity test refuses them
+    p = tmp_path / "neg.txt"
+    xs = np.random.default_rng(5).poisson(1.0, 2000) - 3
+    p.write_text("\n".join(str(x) for x in xs))
+    code, out, _ = run_cli(capsys, "muculants", "--input", str(p), "--n-max", "2")
+    assert code == 0
+    assert json.loads(out)["values"][3] == pytest.approx(-2.0, abs=0.1)  # n = 1
+    code, out, err = run_cli(capsys, "poisson-test", "--input", str(p), "--bootstrap", "20")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NegativeSampleValue: ")
+
+
+# ------------------------------------------------------------ entry points
+
+
+def zoo_geometric_json(n_max):
+    return dumps_json(muculants_to_dict(zoo_muculants(Geometric(0.5), (-n_max, n_max))))
+
+
+def test_cli_parser_is_reused_without_carrying_state(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "--dist", "geometric:p=0.5", "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "zoo", "--dist", "geometric:p=0.5", "--n-max", "3")
+    assert (code, out) == (0, zoo_geometric_json(3))
+    # a flag given to an earlier call must not become the next call's default
+    code, out, _ = run_cli(capsys, "zoo", "--dist", "geometric:p=0.5")
+    assert (code, out) == (0, zoo_geometric_json(20))
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "muculants 0.1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["-m", "muculants", "--version"], "muculants 0.1.0\n"),
+        (["-m", "muculants.cli", "zoo", "--dist", "geometric:p=0.5", "--n-max", "2"], None),
+    ],
+    ids=["package", "module"],
+)
+def test_cli_runs_as_a_process(argv, want):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (want or zoo_geometric_json(2))
