@@ -14,6 +14,9 @@ from .pmf import PMF
 
 DEFAULT_GRID_SIZE = 4096
 
+# Largest grid accepted: 2^24 points, 256 MiB per complex array.
+MAX_GRID_POINTS = 1 << 24
+
 # |charfn| below this and the complex log is numerically undefined.
 VANISH_TOL = 1e-8
 
@@ -25,7 +28,8 @@ _SOURCES = ("exact-from-pmf", "empirical", "reconstructed")
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform grid of N frequencies mu_k = -pi + 2*pi*k/N, N a power of two >= 64."""
+    """Uniform grid of N frequencies mu_k = -pi + 2*pi*k/N, N a power of two
+    in 64..2^24."""
 
     n_points: int
 
@@ -33,6 +37,8 @@ class FrequencyGrid:
         n = self.n_points
         if not isinstance(n, (int, np.integer)) or n < 64 or n & (n - 1):
             raise ValueError("n_points must be a power of two, at least 64")
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"n_points must be at most {MAX_GRID_POINTS}, got {n}")
         object.__setattr__(self, "n_points", int(n))
 
     @property
@@ -45,9 +51,12 @@ class FrequencyGrid:
         return self.n_points // 2
 
     @classmethod
-    def for_width(cls, width: int, minimum: int = 64) -> "FrequencyGrid":
-        """Smallest admissible grid with at least ``4 * width`` points."""
-        n = max(minimum, 4 * int(width), 64)
+    def for_width(cls, width: int, minimum: int = 64, n_max: int = 0) -> "FrequencyGrid":
+        """Smallest admissible grid with at least ``minimum`` points, four per
+        index of a support ``width`` wide (the phase resolution
+        :func:`require_resolution` asks for) and four per coefficient index
+        up to ``n_max`` (the transforms' aliasing guard)."""
+        n = max(64, minimum, 4 * int(width), 4 * int(n_max))
         return cls(1 << (n - 1).bit_length())
 
 
@@ -275,6 +284,20 @@ def log_charfn(values: np.ndarray, mods: np.ndarray) -> tuple[np.ndarray, np.nda
     return log_mag, phase
 
 
+def require_modulus(values, floor: float) -> tuple[np.ndarray, float]:
+    """The moduli of charfn samples and their minimum.
+
+    Raises :class:`CharFnVanishes` when that minimum falls below ``floor``:
+    the log is numerically undefined there, or, for an empirical charfn,
+    pure noise.
+    """
+    mods = np.abs(values)
+    min_abs = float(mods.min())
+    if min_abs < floor:
+        raise CharFnVanishes(f"|charfn| reaches {min_abs:.3e}, below the {floor:.0e} floor")
+    return mods, min_abs
+
+
 def complex_log(
     samples: CharFnSamples, *, vanish_tol: float = VANISH_TOL
 ) -> LogCharFnSamples:
@@ -293,11 +316,6 @@ def complex_log(
     Sampling either one-sided limit there instead would inject a delta
     into the analysis and a pi/N imaginary residue downstream.
     """
-    mods = np.abs(samples.values)
-    min_abs = float(mods.min())
-    if min_abs < vanish_tol:
-        raise CharFnVanishes(
-            f"|charfn| reaches {min_abs:.3e}, below the {vanish_tol:.0e} floor"
-        )
+    mods, min_abs = require_modulus(samples.values, vanish_tol)
     log_mag, phase = log_charfn(samples.values, mods)
     return LogCharFnSamples(samples.grid, log_mag, phase, min_abs)

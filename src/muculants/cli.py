@@ -7,12 +7,18 @@ Exit codes: 0 success (or fail-to-reject), 1 domain error, 2 usage error,
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
-from .charfn import FrequencyGrid, complex_log, empirical_charfn, eval_charfn, support_width
+from .charfn import (
+    DEFAULT_GRID_SIZE,
+    FrequencyGrid,
+    complex_log,
+    empirical_charfn,
+    eval_charfn,
+    require_modulus,
+    support_width,
+)
 from .decompose import decompose
-from .errors import CharFnVanishes, MuculantError
+from .errors import MuculantError
 from .inference import EMPIRICAL_FLOOR, estimate_muculants, grid_for_samples, poisson_test
 from .io import (
     cumulants_to_dict,
@@ -73,24 +79,13 @@ def _load_source(args):
 def _pmf_grid(args, f) -> FrequencyGrid:
     if args.grid is not None:
         return FrequencyGrid(args.grid)
-    return FrequencyGrid.for_width(support_width(f), minimum=4096)
+    return FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, args.n_max)
 
 
 def _sample_grid(args, samples) -> FrequencyGrid:
     if args.grid is not None:
         return FrequencyGrid(args.grid)
-    return grid_for_samples(samples)
-
-
-def _empirical_cf(samples, grid):
-    cf = empirical_charfn(samples, grid)
-    low = float(np.min(np.abs(cf.values)))
-    if low < EMPIRICAL_FLOOR:
-        raise CharFnVanishes(
-            f"empirical charfn reaches {low:.3e}, below the {EMPIRICAL_FLOOR:.0e} "
-            "floor for sample input"
-        )
-    return cf
+    return grid_for_samples(samples, args.n_max)
 
 
 def _print_muculants(args, seq) -> None:
@@ -125,7 +120,8 @@ def _cmd_power_muculants(args) -> int:
     if kind == "pmf":
         cf = eval_charfn(obj, _pmf_grid(args, obj))
     else:
-        cf = _empirical_cf(obj, _sample_grid(args, obj))
+        cf = empirical_charfn(obj, _sample_grid(args, obj))
+        require_modulus(cf.values, EMPIRICAL_FLOOR)
     _print_muculants(args, power_muculants(cf, args.n_max))
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import FrequencyGrid, complex_log, eval_charfn, support_width
+from .charfn import DEFAULT_GRID_SIZE, FrequencyGrid, complex_log, eval_charfn, support_width
 from .errors import PreconditionViolated, SupportTooSmall
 from .pmf import PMF, SignedSequence
 from .transform import (
@@ -23,8 +23,6 @@ from .transform import (
 # A reconstructed component counts as a PMF when it clears these.
 _PMF_NONNEG_TOL = 1e-10
 _PMF_SUM_TOL = 1e-8
-
-DEFAULT_DECOMPOSE_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decom
     with charfn zeros on the unit circle propagate CharFnVanishes.
     """
     if grid is None:
-        grid = FrequencyGrid.for_width(support_width(f), minimum=DEFAULT_DECOMPOSE_GRID)
+        grid = FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, n_max)
     cf = eval_charfn(f, grid)
     logcf = complex_log(cf)
     total = complex_muculants(logcf, n_max)

@@ -66,13 +66,12 @@ class PoissonTestResult:
     n_bootstrap_used: int
 
 
-def grid_for_samples(samples) -> FrequencyGrid:
+def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
     """Grid sized for sample data: eight points per support index keeps the
     unwrap safe even for bootstrap resamples that overshoot the observed
-    maximum."""
+    maximum, and the grid carries coefficient indices up to ``n_max``."""
     xi = integer_samples(samples)
-    need = max(128, 8 * span_width(int(xi.min()), int(xi.max())))
-    return FrequencyGrid(1 << (need - 1).bit_length())
+    return FrequencyGrid.for_width(2 * span_width(int(xi.min()), int(xi.max())), 128, n_max)
 
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
@@ -93,13 +92,7 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
     require_resolution(int(xi.min()), int(xi.max()), grid)
     cf = empirical_charfn(xi, grid)
-    low = float(np.min(np.abs(cf.values)))
-    if low < EMPIRICAL_FLOOR:
-        raise CharFnVanishes(
-            f"empirical charfn reaches {low:.3e}, below the {EMPIRICAL_FLOOR:.0e} "
-            "floor for this sample size"
-        )
-    return complex_muculants(complex_log(cf), n_max)
+    return complex_muculants(complex_log(cf, vanish_tol=EMPIRICAL_FLOOR), n_max)
 
 
 def _window_mask(ns: np.ndarray, window) -> np.ndarray:
@@ -223,9 +216,7 @@ def poisson_test(
     lo, hi = int(window[0]), int(window[1])
     n_max = max(abs(lo), abs(hi), 1)
 
-    grid = grid_for_samples(xi)
-    if grid.n_points < 4 * n_max:  # transform needs indices within N/4
-        grid = FrequencyGrid(1 << (4 * n_max - 1).bit_length())
+    grid = grid_for_samples(xi, n_max)
     stat = poisson_statistic(estimate_muculants(xi, grid, n_max), (lo, hi))
     lam_hat = float(xi.mean())
 

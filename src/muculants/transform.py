@@ -17,9 +17,10 @@ from .charfn import (
     LogCharFnSamples,
     grid_analysis,
     grid_synthesis,
+    require_modulus,
+    span_width,
 )
 from .errors import (
-    CharFnVanishes,
     ImagResidualTooLarge,
     NotApplicable,
     SupportTooSmall,
@@ -103,12 +104,18 @@ def complex_coefficients(
     """Real coefficients for n in [-n_max, n_max] and the imaginary residue,
     over the trailing axis of grid-sampled log magnitude and phase; the
     kernel of :func:`complex_muculants`, with the same guards."""
-    n = log_magnitude.shape[-1]
+    return _real_coefficients(log_magnitude + 1j * phase, n_max)
+
+
+def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of grid-sampled log values for n in [-n_max, n_max],
+    over the trailing axis: refuses ``n_max`` beyond N/4 (aliasing guard)
+    and imaginary residue at or above 1e-8, returns the real parts and the
+    residue per row."""
+    n = log_values.shape[-1]
     if not 1 <= n_max <= n // 4:
         raise ValueError(f"n_max must be in 1..{n // 4} for this grid")
-    full = log_magnitude + 1j * phase
-    ns = np.arange(-n_max, n_max + 1)
-    coef = grid_analysis(full, ns)
+    coef = grid_analysis(log_values, np.arange(-n_max, n_max + 1))
     resid = np.max(np.abs(coef.imag), axis=-1)
     if np.max(resid) >= IMAG_TOL:
         raise ImagResidualTooLarge(f"imaginary residue {np.max(resid):.3e}")
@@ -121,22 +128,10 @@ def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
     Phase-free, hence computable whenever the modulus stays above the
     vanishing floor; even about zero by symmetry of |Phi|.
     """
-    n = cf.grid.n_points
-    if not 1 <= n_max <= n // 4:
-        raise ValueError(f"n_max must be in 1..{n // 4} for this grid")
-    mods = np.abs(cf.values)
-    min_abs = float(mods.min())
-    if min_abs < VANISH_TOL:
-        raise CharFnVanishes(
-            f"|charfn| reaches {min_abs:.3e}, below the {VANISH_TOL:.0e} floor"
-        )
-    coef = grid_analysis(2.0 * np.log(mods), np.arange(-n_max, n_max + 1))
-    resid = float(np.max(np.abs(coef.imag)))
-    if resid >= IMAG_TOL:
-        raise ImagResidualTooLarge(f"imaginary residue {resid:.3e}")
-    vals = coef.real
+    mods, _ = require_modulus(cf.values, VANISH_TOL)
+    vals, resid = _real_coefficients(2.0 * np.log(mods), n_max)
     vals = 0.5 * (vals + vals[::-1])  # exact evenness against fp drift
-    return MuculantSeq(-n_max, n_max, vals, "power", resid)
+    return MuculantSeq(-n_max, n_max, vals, "power", float(resid))
 
 
 def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
@@ -186,27 +181,15 @@ def reconstruct_charfn(seq: MuculantSeq, grid: FrequencyGrid) -> CharFnSamples:
     return CharFnSamples(grid, np.exp(log_values), "reconstructed")
 
 
-def _grid_for_reconstruction(seq: MuculantSeq, lo: int, hi: int) -> FrequencyGrid:
-    span = hi - lo + 1
-    n_limit = max(seq.n_max, -seq.n_min, 1)
-    need = max(
-        64,
-        4 * span,
-        4 * n_limit,
-        2 * (max(hi, 0) + 1),
-        2 * (max(-lo, 0) + 1),
-    )
-    return FrequencyGrid(1 << (need - 1).bit_length())
-
-
 def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     """Sequence whose charfn the coefficients describe, on a support window.
 
     ``support`` is an inclusive integer range ``(lo, hi)``.  The charfn is
-    synthesized on a grid with at least four points per support index and
-    Fourier-analyzed back; window-external values are discarded, and if the
-    discarded magnitudes total more than 1e-6 the window was genuinely too
-    small and :class:`SupportTooSmall` is raised.
+    synthesized on a grid with at least four points per index of the window
+    (origin included) and per coefficient index, and Fourier-analyzed back;
+    window-external values are discarded, and if the discarded magnitudes
+    total more than 1e-6 the window was genuinely too small and
+    :class:`SupportTooSmall` is raised.
 
     Returns a :class:`SignedSequence`: a truncated coefficient sequence
     need not describe a distribution, and no claim is made here about when
@@ -217,7 +200,7 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     lo, hi = int(support[0]), int(support[1])
     if lo > hi:
         raise ValueError("support range is empty")
-    grid = _grid_for_reconstruction(seq, lo, hi)
+    grid = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min))
     cf = reconstruct_charfn(seq, grid)
     n = grid.n_points
     ns = np.arange(-(n // 2), n // 2)

@@ -12,14 +12,17 @@ from muculants import (
     GridTooCoarse,
     complex_log,
     empirical_charfn,
+    estimate_muculants,
     eval_charfn,
     grid_analysis,
+    grid_for_samples,
     grid_synthesis,
+    power_muculants,
     support_width,
     unwrap_phase,
     validate_pmf,
 )
-from muculants.charfn import check_charfn_values
+from muculants.charfn import MAX_GRID_POINTS, check_charfn_values
 
 from support import random_pmf
 
@@ -43,6 +46,28 @@ def test_grid_for_width_rounds_up():
     assert FrequencyGrid.for_width(10).n_points == 64
     assert FrequencyGrid.for_width(20).n_points == 128
     assert FrequencyGrid.for_width(3, minimum=256).n_points == 256
+
+
+def test_grid_for_width_carries_n_max():
+    # four points per coefficient index as well
+    assert FrequencyGrid.for_width(10, n_max=16).n_points == 64
+    assert FrequencyGrid.for_width(10, n_max=17).n_points == 128
+    assert FrequencyGrid.for_width(10, minimum=4096, n_max=1500).n_points == 8192
+
+
+def test_grid_ceiling_is_refused_at_construction():
+    # Only construct grids here: a grid allocates nothing until it is used,
+    # while one complex array on a 2^32-point grid would take 64 GiB.
+    assert FrequencyGrid(MAX_GRID_POINTS).n_points == 1 << 24
+    assert FrequencyGrid.for_width(0, n_max=1 << 22).n_points == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="at most 16777216, got 33554432"):
+        FrequencyGrid(1 << 25)
+    with pytest.raises(ValueError, match="at most 16777216, got 33554432"):
+        FrequencyGrid.for_width(0, n_max=(1 << 22) + 1)
+    with pytest.raises(ValueError, match="got 8589934592"):
+        grid_for_samples(np.array([0, 10**9]))
+    with pytest.raises(ValueError, match="got 4294967296"):
+        grid_for_samples(np.arange(5), n_max=10**9)
 
 
 def test_support_width_includes_origin():
@@ -292,3 +317,17 @@ def test_complex_log_vanish_floor_is_adjustable():
     complex_log(cf)  # min |phi| = 1e-3, above the default floor
     with pytest.raises(CharFnVanishes):
         complex_log(cf, vanish_tol=1e-2)
+
+
+def test_every_vanishing_floor_raises_one_message():
+    half = eval_charfn(validate_pmf(0, [0.5, 0.5]), FrequencyGrid(64))  # zero at mu = pi
+    floor_message = r"^\|charfn\| reaches \d\.\d{3}e[+-]\d\d, below the 1e-08 floor$"
+    with pytest.raises(CharFnVanishes, match=floor_message):
+        complex_log(half)
+    with pytest.raises(CharFnVanishes, match=floor_message):
+        power_muculants(half, 5)
+    # the empirical charfn of equally many zeros and ones is exactly 0 at pi
+    xi = np.repeat([0, 1], 50)
+    with pytest.raises(CharFnVanishes) as exc:
+        estimate_muculants(xi, grid_for_samples(xi), 5)
+    assert str(exc.value) == "|charfn| reaches 0.000e+00, below the 1e-03 floor"

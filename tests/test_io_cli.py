@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import muculants.charfn
 from muculants import EmptySample, Geometric, validate_pmf, zoo_muculants, zoo_pmf
 from muculants.cli import main
 from muculants.io import (
@@ -222,6 +223,61 @@ def test_cli_refuses_sample_grid_too_coarse(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "muculants", "--input", str(p), "--n-max", "2")
     assert code == 0
     assert json.loads(out)["values"][3] == pytest.approx(100.5, abs=0.1)  # n = 1
+
+
+def write_samples(path, xs):
+    path.write_text("".join(f"{x}\n" for x in xs))
+    return str(path)
+
+
+def test_cli_cumulants_from_samples_at_defaults(capsys, tmp_path):
+    # the default --n-max 60 used to outgrow the default sample grid
+    xs = np.random.default_rng(5).poisson(1.5, 10_000)
+    p = write_samples(tmp_path / "xs.txt", xs)
+    code, out, err = run_cli(capsys, "cumulants", "--input", p)
+    assert (code, err) == (0, "")
+    kappa = json.loads(out)["values"]
+    assert kappa[0] == pytest.approx(xs.mean(), abs=1e-9)
+    assert kappa[1] == pytest.approx(xs.var(), abs=1e-9)  # the biased variance
+
+
+def test_cli_default_grid_carries_n_max(capsys, tmp_path):
+    p = write_samples(tmp_path / "xs.txt", np.random.default_rng(6).poisson(1.5, 10_000))
+    code, out, _ = run_cli(capsys, "power-muculants", "--input", p, "--n-max", "90")
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 181
+    code, out, _ = run_cli(capsys, "decompose", "--dist", "geometric:p=0.4", "--n-max", "1500")
+    assert code == 0
+    # an explicit grid is used as given, and still refused when too small
+    for command in ("muculants", "power-muculants"):
+        code, out, err = run_cli(capsys, command, "--input", p, "--grid", "256", "--n-max", "90")
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: n_max must be in 1..64 for this grid\n"
+
+
+def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path, monkeypatch):
+    def synthesis(*args, **kwargs):
+        raise AssertionError("an oversized grid reached the synthesis FFT")
+
+    monkeypatch.setattr(muculants.charfn, "grid_synthesis", synthesis)
+    p = write_samples(tmp_path / "xs.txt", [0, 1] * 100)
+    code, out, err = run_cli(capsys, "cumulants", "--input", p, "--n-max", "1000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: n_points must be at most 16777216, got 4294967296\n"
+    code, out, err = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", str(1 << 25))
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: n_points must be at most 16777216, got 33554432\n"
+
+
+def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
+    # the empirical charfn of equally many zeros and ones is exactly 0 at pi
+    p = write_samples(tmp_path / "xs.txt", [0] * 50 + [1] * 50)
+    for command in ("muculants", "power-muculants"):
+        code, out, err = run_cli(capsys, command, "--input", p)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: CharFnVanishes: |charfn| reaches 0.000e+00, below the 1e-03 floor\n"
+        )
 
 
 def test_cli_cumulants_exact_for_geometric(capsys):
