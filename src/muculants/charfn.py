@@ -106,12 +106,6 @@ def integer_samples(samples) -> np.ndarray:
     return xi
 
 
-def _alternating(n: int) -> np.ndarray:
-    alt = np.ones(n)
-    alt[1::2] = -1.0
-    return alt
-
-
 def grid_synthesis(coeffs, offset: int, grid: FrequencyGrid) -> np.ndarray:
     """sum_i coeffs[i] * exp(j * mu_k * (offset + i)) at every grid point.
 
@@ -120,12 +114,19 @@ def grid_synthesis(coeffs, offset: int, grid: FrequencyGrid) -> np.ndarray:
     (N even), so folding changes nothing.  Works over the trailing axis, so
     a stack of sequences sharing ``offset`` is synthesized in one call.
     """
-    n = grid.n_points
+    folded = fold_indices(coeffs, offset, grid.n_points)
+    folded[..., 1::2] *= -1.0  # e^{-j pi xi}: the grid starts at mu = -pi
+    return np.fft.ifft(folded, norm="forward")
+
+
+def fold_indices(coeffs, offset: int, n: int) -> np.ndarray:
+    """``coeffs[..., i]`` summed into bin (offset + i) mod n of the trailing
+    axis: the fold that makes an n-point transform exact for any support."""
     c = np.asarray(coeffs, dtype=np.float64)
     folded = np.zeros(c.shape[:-1] + (n,))
     idx = (int(offset) + np.arange(c.shape[-1])) % n
     np.add.at(folded, (..., idx), c)
-    return np.fft.ifft(folded * _alternating(n), norm="forward")
+    return folded
 
 
 def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
@@ -236,16 +237,10 @@ def empirical_charfn(samples, grid: FrequencyGrid) -> CharFnSamples:
     """
     xi = integer_samples(samples)
     lo = int(xi.min())
-    return CharFnSamples(grid, histogram_charfn(np.bincount(xi - lo), lo, grid), "empirical")
-
-
-def histogram_charfn(counts, offset: int, grid: FrequencyGrid) -> np.ndarray:
-    """Empirical charfn values of samples given by their histograms: the
-    trailing axis counts the draws equal to offset, offset + 1, ..."""
-    counts = np.asarray(counts)
-    vals = grid_synthesis(counts / counts.sum(axis=-1, keepdims=True), offset, grid)
-    vals[..., grid.zero_index] = 1.0  # exact by construction
-    return vals
+    counts = np.bincount(xi - lo)
+    vals = grid_synthesis(counts / counts.sum(), lo, grid)
+    vals[grid.zero_index] = 1.0  # exact by construction
+    return CharFnSamples(grid, vals, "empirical")
 
 
 def unwrap_phase(principal) -> np.ndarray:
@@ -265,23 +260,6 @@ def unwrap_phase(principal) -> np.ndarray:
     out = p.copy()
     out[..., 1:] += corrections
     return out
-
-
-def log_charfn(values: np.ndarray, mods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln |Phi| and the continuous odd phase of grid samples with moduli
-    ``mods``, over the trailing axis; the kernel of :func:`complex_log`,
-    which documents the phase convention.  Applies no vanishing floor."""
-    v = values
-    n = v.shape[-1]
-    log_mag = np.log(mods)
-    half = np.concatenate([v[..., n // 2 :], v[..., :1]], axis=-1)  # mu = 0, ..., pi
-    ph = unwrap_phase(np.angle(half))
-    ph = ph - ph[..., :1]
-    phase = np.empty(v.shape)
-    phase[..., n // 2 :] = ph[..., :-1]
-    phase[..., 0] = 0.0  # jump midpoint at -pi; see complex_log
-    phase[..., 1 : n // 2] = -ph[..., 1 : n // 2][..., ::-1]
-    return log_mag, phase
 
 
 def require_modulus(values, floor: float) -> tuple[np.ndarray, float]:
@@ -316,6 +294,14 @@ def complex_log(
     Sampling either one-sided limit there instead would inject a delta
     into the analysis and a pi/N imaginary residue downstream.
     """
-    mods, min_abs = require_modulus(samples.values, vanish_tol)
-    log_mag, phase = log_charfn(samples.values, mods)
-    return LogCharFnSamples(samples.grid, log_mag, phase, min_abs)
+    v = samples.values
+    mods, min_abs = require_modulus(v, vanish_tol)
+    n = v.shape[-1]
+    half = np.concatenate([v[n // 2 :], v[:1]])  # mu = 0, ..., pi
+    ph = unwrap_phase(np.angle(half))
+    ph = ph - ph[0]
+    phase = np.empty(n)
+    phase[n // 2 :] = ph[:-1]
+    phase[0] = 0.0  # jump midpoint at -pi
+    phase[1 : n // 2] = -ph[1 : n // 2][::-1]
+    return LogCharFnSamples(samples.grid, np.log(mods), phase, min_abs)

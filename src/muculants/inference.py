@@ -11,19 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
-    VANISH_TOL,
     FrequencyGrid,
-    check_charfn_values,
-    complex_log,
-    empirical_charfn,
-    histogram_charfn,
+    fold_indices,
     integer_samples,
-    log_charfn,
+    require_modulus,
     require_resolution,
     span_width,
+    unwrap_phase,
 )
 from .errors import CharFnVanishes, NegativeSampleValue
-from .transform import MuculantSeq, complex_coefficients, complex_muculants
+from .transform import MuculantSeq, require_index_range
 
 # Empirical charfn floor: below this the sample spread is too heavy for the
 # sample size and the coefficient estimates are unusable.
@@ -36,9 +33,9 @@ DEFAULT_WINDOW = (-8, 8)
 # Indices carrying Poisson information; the statistic excludes them.
 _POISSON_INDICES = (0, 1)
 
-# Bootstrap replicates go through the kernel in chunks of this many grid
-# points (16 replicates on a 512-point grid), which bounds the memory a
-# call needs whatever its n_bootstrap.
+# Bootstrap replicates go through the kernel in chunks of this many points
+# over the N-point grid (16 replicates when N = 512), which bounds the
+# memory a call needs whatever its n_bootstrap.
 _CHUNK_POINTS = 8192
 
 # Poisson tails lighter than this are lumped into the end cells of the
@@ -77,22 +74,52 @@ def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     """Coefficient estimates from i.i.d. integer draws.
 
-    Plugs the empirical charfn into the transform.  Requires at least 100
-    samples and, as :func:`eval_charfn` does for PMFs, a grid of at least
-    four points per index of the sample range with the origin included
-    (:class:`GridTooCoarse` otherwise: a coarser grid lets the phase unwrap
-    skip a wrap and return wrong coefficients).  Raises
-    :class:`CharFnVanishes` when the empirical charfn dips below 1e-3
-    anywhere on the grid, which happens when the spread of the law is heavy
-    relative to the sample size (the estimate would be pure noise there,
-    and the coefficients may not exist at all).
+    The half-spectrum kernel of :func:`replicate_statistics` on one sample:
+    the coefficients are real by construction, so ``imag_residual`` is 0.0.
+    Requires at least 100 samples and, as :func:`eval_charfn` does for
+    PMFs, a grid of at least four points per index of the sample range with
+    the origin included (:class:`GridTooCoarse` otherwise: a coarser grid
+    lets the phase unwrap skip a wrap and return wrong coefficients).
+    Raises :class:`CharFnVanishes` when the empirical charfn dips below
+    1e-3 anywhere on the grid, which happens when the spread of the law is
+    heavy relative to the sample size (the estimate would be pure noise
+    there, and the coefficients may not exist at all).
     """
     xi = integer_samples(samples)
     if xi.size < MIN_SAMPLE_SIZE:
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
-    require_resolution(int(xi.min()), int(xi.max()), grid)
-    cf = empirical_charfn(xi, grid)
-    return complex_muculants(complex_log(cf, vanish_tol=EMPIRICAL_FLOOR), n_max)
+    lo = int(xi.min())
+    require_resolution(lo, int(xi.max()), grid)
+    coef, min_abs = _sample_coefficients(np.bincount(xi - lo)[None], lo, grid, n_max)
+    require_modulus(min_abs, EMPIRICAL_FLOOR)  # the smallest |Phi| is its own modulus
+    return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
+
+
+def _sample_coefficients(counts, offset: int, grid: FrequencyGrid, n_max: int):
+    """Coefficients c[-n_max..n_max] of the empirical log charfn of each
+    histogram row of ``counts`` (NaN in rows below the 1e-3 floor), and
+    each row's smallest |Phi|.
+
+    Phi is Hermitian, so mu in [0, pi] carries it all: one rfft of the
+    folded histogram gives Phi there, the phase is unwrapped from mu = 0,
+    and one irfft of the conjugate log per row gives the real coefficients.
+    The irfft keeps only the real part at pi, so the phase there counts as
+    the jump midpoint 0, as in :func:`complex_log`.
+    """
+    n = grid.n_points
+    require_index_range(n, n_max)
+    folded = fold_indices(counts / counts.sum(axis=-1, keepdims=True), offset, n)
+    phi = np.conj(np.fft.rfft(folded))  # mu = 0, 2pi/N, ..., pi
+    phi[:, 0] = 1.0  # exact by construction
+    mods = np.abs(phi)
+    min_abs = mods.min(axis=-1)
+    keep = min_abs >= EMPIRICAL_FLOOR
+    coef = np.full((len(counts), 2 * n_max + 1), np.nan)
+    if keep.any():
+        phase = unwrap_phase(np.angle(phi[keep]))
+        cepstrum = np.fft.irfft(np.log(mods[keep]) - 1j * phase, n)  # c[k] at k mod N
+        coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
+    return coef, min_abs
 
 
 def _window_mask(ns: np.ndarray, window) -> np.ndarray:
@@ -120,32 +147,21 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
 
     Row r of ``counts`` holds how many draws of sample r equal ``offset``,
     ``offset + 1``, ...  Each row's value is bit-identical to what the
-    per-sample route gives on the draws the row counts, with the same
-    guards: rows whose empirical charfn dips below the 1e-3 floor (hence
-    also below the 1e-8 vanishing floor) are NaN, while fewer than 100
-    draws, non-finite or non-Hermitian charfn samples (ValueError) and
-    imaginary residue (:class:`ImagResidualTooLarge`) raise.  The rows go
-    through synthesis FFT, floors, unwrap and analysis FFT in chunks.
+    per-sample route gives on the draws the row counts, as both run one
+    half-spectrum kernel in which each row has its own transforms.  Rows
+    whose empirical charfn dips below the 1e-3 floor are NaN; a row of fewer
+    than 100 draws raises ValueError.
     """
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=-1) < MIN_SAMPLE_SIZE):
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples per replicate")
     n_max = max(abs(int(window[0])), abs(int(window[1])), 1)
     mask = _window_mask(np.arange(-n_max, n_max + 1), window)
-    stats = np.full(len(counts), np.nan)
     rows = max(1, _CHUNK_POINTS // grid.n_points)
-    for start in range(0, len(counts), rows):
-        part = slice(start, start + rows)
-        values = histogram_charfn(counts[part], offset, grid)
-        check_charfn_values(values)
-        mods = np.abs(values)
-        keep = mods.min(axis=-1) >= max(EMPIRICAL_FLOOR, VANISH_TOL)
-        if keep.any():
-            coef, _ = complex_coefficients(*log_charfn(values[keep], mods[keep]), n_max)
-            # C order makes each row sum pairwise, as the 1-D sum does
-            terms = np.ascontiguousarray(coef[:, mask])
-            stats[part][keep] = np.sum(terms**2, axis=-1)
-    return stats
+    parts = [counts[i : i + rows] for i in range(0, len(counts), rows)]
+    coef = np.concatenate([_sample_coefficients(c, offset, grid, n_max)[0] for c in parts])
+    # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
+    return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 
 
 def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
@@ -207,8 +223,6 @@ def poisson_test(
     xi = integer_samples(samples)
     if np.min(xi) < 0:
         raise NegativeSampleValue("Poisson samples must be nonnegative")
-    if xi.size < MIN_SAMPLE_SIZE:
-        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if n_bootstrap < 1:

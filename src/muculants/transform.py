@@ -94,32 +94,27 @@ def complex_muculants(logcf: LogCharFnSamples, n_max: int) -> MuculantSeq:
     coefficients are real; imaginary residue at or above 1e-8 raises
     :class:`ImagResidualTooLarge` instead of being silently dropped.
     """
-    coef, resid = complex_coefficients(logcf.log_magnitude, logcf.phase, n_max)
-    return MuculantSeq(-n_max, n_max, coef, "complex", float(resid))
+    coef, resid = _real_coefficients(logcf.log_magnitude + 1j * logcf.phase, n_max)
+    return MuculantSeq(-n_max, n_max, coef, "complex", resid)
 
 
-def complex_coefficients(
-    log_magnitude: np.ndarray, phase: np.ndarray, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real coefficients for n in [-n_max, n_max] and the imaginary residue,
-    over the trailing axis of grid-sampled log magnitude and phase; the
-    kernel of :func:`complex_muculants`, with the same guards."""
-    return _real_coefficients(log_magnitude + 1j * phase, n_max)
+def require_index_range(n_points: int, n_max: int) -> None:
+    """Raise ValueError unless 1 <= n_max <= N/4, the aliasing guard of
+    coefficients read off an N-point grid."""
+    if not 1 <= n_max <= n_points // 4:
+        raise ValueError(f"n_max must be in 1..{n_points // 4} for this grid")
 
 
-def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of grid-sampled log values for n in [-n_max, n_max],
-    over the trailing axis: refuses ``n_max`` beyond N/4 (aliasing guard)
-    and imaginary residue at or above 1e-8, returns the real parts and the
-    residue per row."""
-    n = log_values.shape[-1]
-    if not 1 <= n_max <= n // 4:
-        raise ValueError(f"n_max must be in 1..{n // 4} for this grid")
+def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, float]:
+    """Coefficients of grid-sampled log values for n in [-n_max, n_max]:
+    refuses ``n_max`` beyond N/4 and imaginary residue at or above 1e-8,
+    returns the real parts and the residue."""
+    require_index_range(len(log_values), n_max)
     coef = grid_analysis(log_values, np.arange(-n_max, n_max + 1))
-    resid = np.max(np.abs(coef.imag), axis=-1)
-    if np.max(resid) >= IMAG_TOL:
-        raise ImagResidualTooLarge(f"imaginary residue {np.max(resid):.3e}")
-    return coef.real.copy(), resid
+    resid = float(np.max(np.abs(coef.imag)))
+    if resid >= IMAG_TOL:
+        raise ImagResidualTooLarge(f"imaginary residue {resid:.3e}")
+    return coef.real, resid
 
 
 def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
@@ -131,7 +126,7 @@ def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
     mods, _ = require_modulus(cf.values, VANISH_TOL)
     vals, resid = _real_coefficients(2.0 * np.log(mods), n_max)
     vals = 0.5 * (vals + vals[::-1])  # exact evenness against fp drift
-    return MuculantSeq(-n_max, n_max, vals, "power", float(resid))
+    return MuculantSeq(-n_max, n_max, vals, "power", resid)
 
 
 def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
@@ -146,8 +141,10 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
 
     No transform, no grid, no phase unwrap; this is the independent route
     used to cross-check the spectral pipeline.  Valid only for
-    minimum-phase inputs (the recursion silently computes the minimum-phase
-    equivalent otherwise).  Raises :class:`NotApplicable` when the support
+    minimum-phase inputs: otherwise it sums the Taylor series of
+    log(P(z)/f[0]) beyond its radius of convergence, and the finite values
+    it returns diverge (off by about 7e+08 on Poisson(20) at n_max = 200).
+    Nothing here detects that yet.  Raises :class:`NotApplicable` when the support
     does not start at zero or the leading probability vanishes.
     """
     if f.offset != 0:

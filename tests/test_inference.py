@@ -10,13 +10,18 @@ from muculants import (
     GridTooCoarse,
     NegativeSampleValue,
     Poisson,
+    complex_log,
+    complex_muculants,
+    empirical_charfn,
     estimate_muculants,
     grid_for_samples,
     poisson_statistic,
     poisson_test,
     zoo_muculants,
+    zoo_pmf,
 )
-from muculants.inference import replicate_statistics
+from muculants.charfn import check_charfn_values, grid_analysis, grid_synthesis, unwrap_phase
+from muculants.inference import _sample_coefficients, replicate_statistics
 
 
 def test_sample_grid_sizing():
@@ -159,6 +164,133 @@ def test_replicate_kernel_matches_per_sample_route():
     assert dropped[:-1].any() and not dropped[:-1].all() and dropped[-1]
     np.testing.assert_array_equal(np.isnan(got), dropped)
     assert np.array_equal(got[~dropped], want[~dropped])  # bit for bit
+
+
+def reference_replicate_statistics(counts, offset, grid, window):
+    """The replicate kernel on the full grid, as it was before the half
+    spectrum: complex synthesis FFT of each row, Hermitian check, floor,
+    odd phase over all N points, complex analysis FFT."""
+    n = grid.n_points
+    n_max = max(abs(window[0]), abs(window[1]), 1)
+    ns = np.arange(-n_max, n_max + 1)
+    mask = (ns >= window[0]) & (ns <= window[1]) & (ns != 0) & (ns != 1)
+    stats = np.full(len(counts), np.nan)
+    rows = max(1, 8192 // n)
+    for start in range(0, len(counts), rows):
+        part = slice(start, start + rows)
+        c = counts[part]
+        values = grid_synthesis(c / c.sum(axis=-1, keepdims=True), offset, grid)
+        values[:, grid.zero_index] = 1.0
+        check_charfn_values(values)
+        mods = np.abs(values)
+        keep = mods.min(axis=-1) >= 1e-3
+        if keep.any():
+            v = values[keep]
+            half = np.concatenate([v[:, n // 2 :], v[:, :1]], axis=-1)  # mu = 0, ..., pi
+            ph = unwrap_phase(np.angle(half))
+            ph = ph - ph[:, :1]
+            phase = np.empty(v.shape)
+            phase[:, n // 2 :] = ph[:, :-1]
+            phase[:, 0] = 0.0
+            phase[:, 1 : n // 2] = -ph[:, 1 : n // 2][:, ::-1]
+            coef = grid_analysis(np.log(mods[keep]) + 1j * phase, ns)
+            assert np.max(np.abs(coef.imag)) < 1e-8
+            terms = np.ascontiguousarray(coef.real[:, mask])
+            stats[part][keep] = np.sum(terms**2, axis=-1)
+    return stats
+
+
+def sample_histograms(draw, rows):
+    """Histograms of ``rows`` samples of 10^4 draws, all counted from the
+    smallest draw among them."""
+    samples = [draw() for _ in range(rows)]
+    lo = min(int(x.min()) for x in samples)
+    width = max(int(x.max()) for x in samples) - lo + 1
+    return lo, np.array([np.bincount(x - lo, minlength=width) for x in samples])
+
+
+@pytest.mark.parametrize("n_points", [128, 256, 512])
+@pytest.mark.parametrize("law", ["poisson", "geometric"])
+def test_replicate_kernel_matches_full_grid_reference(law, n_points):
+    rng = np.random.default_rng([5, n_points])
+    draws = {
+        "poisson": lambda: rng.poisson(3.0, 10_000),  # about a fifth dip under the floor
+        "geometric": lambda: rng.geometric(0.25, 10_000) - 1,
+    }
+    offset, counts = sample_histograms(draws[law], 60)
+    grid = FrequencyGrid(n_points)
+    got = replicate_statistics(counts, offset, grid, (-8, 8))
+    want = reference_replicate_statistics(counts, offset, grid, (-8, 8))
+    dropped = np.isnan(want)
+    assert dropped.any() == (law == "poisson") and not dropped.all()
+    np.testing.assert_array_equal(np.isnan(got), dropped)
+    np.testing.assert_allclose(got[~dropped], want[~dropped], rtol=1e-12, atol=0)
+
+
+def full_grid_estimate(x, grid, n_max):
+    return complex_muculants(complex_log(empirical_charfn(x, grid), vanish_tol=1e-3), n_max)
+
+
+def estimate_cases():
+    rng = np.random.default_rng(17)
+    return {
+        "poisson": rng.poisson(3.0, 10_000),
+        "shifted": 100 + rng.poisson(0.5, 10_000),
+        "negative": -4 - rng.poisson(1.5, 5_000),
+        "two-signed": rng.integers(-3, 4, 2_000) + rng.poisson(0.3, 2_000),
+        "winding": np.array([0] * 300 + [1] * 700),  # Bernoulli(0.7): phase pi at pi
+    }
+
+
+@pytest.mark.parametrize("name", list(estimate_cases()))
+def test_half_spectrum_estimate_matches_full_grid_route(name):
+    x = estimate_cases()[name]
+    grid = grid_for_samples(x)
+    for n_max in (8, grid.n_points // 4):
+        got = estimate_muculants(x, grid, n_max)
+        want = full_grid_estimate(x, grid, n_max)
+        assert (got.n_min, got.n_max, got.kind) == (want.n_min, want.n_max, want.kind)
+        assert got.imag_residual == 0.0  # real by construction
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+
+def test_half_spectrum_estimate_keeps_the_aliasing_guard():
+    x = estimate_cases()["poisson"]
+    grid = grid_for_samples(x)
+    quarter = grid.n_points // 4
+    estimate_muculants(x, grid, quarter)
+    for n_max in (0, quarter + 1):
+        with pytest.raises(ValueError, match=rf"n_max must be in 1\.\.{quarter} for this grid"):
+            estimate_muculants(x, grid, n_max)
+
+
+def tied_histograms(rng, rows):
+    """Histograms of 10^4 Poisson(3) draws with exactly 5005 or 4995 even
+    ones, so |Phi(pi)| = |E - O| / m = 1e-3 sits on the floor."""
+    probs = zoo_pmf(Poisson(3.0)).probs  # support 0, 1, ...
+    even, odd = probs[::2] / probs[::2].sum(), probs[1::2] / probs[1::2].sum()
+    counts = np.zeros((rows, len(probs)), dtype=np.int64)
+    n_even = 5000 + 5 * rng.choice([-1, 1], rows)
+    for r in range(rows):
+        counts[r, ::2] = rng.multinomial(n_even[r], even)
+        counts[r, 1::2] = rng.multinomial(10_000 - n_even[r], odd)
+    return counts
+
+
+@pytest.mark.parametrize("n_points", [128, 256, 512])
+def test_floor_ties_fall_as_the_full_grid_decides(n_points):
+    # the floor decision at a tie is the last bit of Phi(pi): the half
+    # spectrum must take the same bit as the full-grid synthesis
+    grid = FrequencyGrid(n_points)
+    counts = tied_histograms(np.random.default_rng([7, n_points]), 120)
+    _, min_abs = _sample_coefficients(counts, 0, grid, 8)
+    keep = min_abs >= 1e-3
+    want = [
+        np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).values).min() >= 1e-3
+        for c in counts
+    ]
+    np.testing.assert_array_equal(keep, want)
+    assert keep.any() and not keep.all()
 
 
 def test_poisson_sample_is_accepted():

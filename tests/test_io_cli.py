@@ -208,6 +208,7 @@ def test_cli_estimates_from_sample_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["values"][3] == pytest.approx(-2.0, abs=0.1)
+    assert doc["imag_residual"] == 0.0  # the sample route is real by construction
 
 
 def test_cli_refuses_sample_grid_too_coarse(capsys, tmp_path):
