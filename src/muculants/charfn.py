@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharFnVanishes, EmptySample, GridTooCoarse
-from .pmf import PMF
+from .pmf import PMF, frozen_vector
 
 DEFAULT_GRID_SIZE = 4096
 
@@ -144,12 +144,10 @@ def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
 
 
 def check_charfn_values(values: np.ndarray) -> None:
-    """Raise ValueError unless the samples are finite and Hermitian within
-    1e-10 (the value at -mu_k conjugates the value at mu_k) over the
-    trailing axis."""
+    """Raise ValueError unless the samples are Hermitian within 1e-10 (the
+    value at -mu_k conjugates the value at mu_k) over the trailing axis.
+    Finiteness is checked once, where :class:`CharFnSamples` freezes them."""
     v = values
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
     # index k pairs with N - k; 0 (mu = -pi) and N/2 (mu = 0) pair with
     # themselves, where |v - conj(v)| = 2|Im v|
     h = v.shape[-1] // 2
@@ -174,11 +172,7 @@ class CharFnSamples:
     source: str
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values must match the grid length")
+        v = frozen_vector(self, "values", self.grid.n_points, np.complex128)
         if self.source not in _SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         check_charfn_values(v)
@@ -200,17 +194,8 @@ class LogCharFnSamples:
     min_abs: float
 
     def __post_init__(self):
-        lm = np.array(self.log_magnitude, dtype=np.float64)
-        ph = np.array(self.phase, dtype=np.float64)
-        lm.setflags(write=False)
-        ph.setflags(write=False)
-        object.__setattr__(self, "log_magnitude", lm)
-        object.__setattr__(self, "phase", ph)
-        n = self.grid.n_points
-        if lm.shape != (n,) or ph.shape != (n,):
-            raise ValueError("log_magnitude and phase must match the grid length")
-        if not (np.all(np.isfinite(lm)) and np.all(np.isfinite(ph))):
-            raise ValueError("log values must be finite")
+        frozen_vector(self, "log_magnitude", self.grid.n_points)
+        frozen_vector(self, "phase", self.grid.n_points)
 
 
 def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
@@ -276,9 +261,7 @@ def require_modulus(values, floor: float) -> tuple[np.ndarray, float]:
     return mods, min_abs
 
 
-def complex_log(
-    samples: CharFnSamples, *, vanish_tol: float = VANISH_TOL
-) -> LogCharFnSamples:
+def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     """Complex logarithm with a continuous phase.
 
     The phase is unwrapped along mu in [0, pi] (the value at pi is the
@@ -286,7 +269,7 @@ def complex_log(
     and extended to negative mu by odd symmetry.  That preserves the
     Hermitian structure exactly, which is what makes the downstream
     coefficients real.  Raises :class:`CharFnVanishes` when any sample
-    modulus falls below ``vanish_tol``.
+    modulus falls below ``VANISH_TOL`` (1e-8).
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
     p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at
@@ -295,7 +278,7 @@ def complex_log(
     into the analysis and a pi/N imaginary residue downstream.
     """
     v = samples.values
-    mods, min_abs = require_modulus(v, vanish_tol)
+    mods, min_abs = require_modulus(v, VANISH_TOL)
     n = v.shape[-1]
     half = np.concatenate([v[n // 2 :], v[:1]])  # mu = 0, ..., pi
     ph = unwrap_phase(np.angle(half))

@@ -88,11 +88,19 @@ def _sample_grid(args, samples) -> FrequencyGrid:
     return grid_for_samples(samples, args.n_max)
 
 
-def _print_muculants(args, seq) -> None:
-    if args.output == "csv":
-        sys.stdout.write(indexed_csv("n", seq.indices, seq.values))
+def _render(args, payload: dict, rows=None) -> None:
+    """Write ``payload`` as JSON, or with ``--output csv`` as the indexed CSV
+    of ``rows = (label, indices, values)`` when given, else as flat CSV."""
+    if args.output != "csv":
+        sys.stdout.write(dumps_json(payload))
+    elif rows is not None:
+        sys.stdout.write(indexed_csv(*rows))
     else:
-        sys.stdout.write(dumps_json(muculants_to_dict(seq)))
+        sys.stdout.write(flat_csv(payload))
+
+
+def _print_muculants(args, seq) -> None:
+    _render(args, muculants_to_dict(seq), ("n", seq.indices, seq.values))
 
 
 def _complex_seq_from_source(args) -> "object":
@@ -132,10 +140,7 @@ def _cmd_cumulants(args) -> int:
         kv = zoo_cumulants(parse_spec(args.dist), args.k_max)
     else:
         kv = cumulants_from_muculants(_complex_seq_from_source(args), args.k_max)
-    if args.output == "csv":
-        sys.stdout.write(indexed_csv("k", range(1, len(kv.values) + 1), kv.values))
-    else:
-        sys.stdout.write(dumps_json(cumulants_to_dict(kv)))
+    _render(args, cumulants_to_dict(kv), ("k", range(1, len(kv.values) + 1), kv.values))
     return 0
 
 
@@ -150,12 +155,7 @@ def _cmd_reconstruct(args) -> int:
         seq = obj
     lo, hi = _parse_range(args.support, "--support")
     out = reconstruct_sequence(seq, (lo, hi))
-    if args.output == "csv":
-        sys.stdout.write(
-            indexed_csv("xi", range(out.offset, out.offset + len(out.values)), out.values)
-        )
-    else:
-        sys.stdout.write(dumps_json(sequence_to_dict(out)))
+    _render(args, sequence_to_dict(out), ("xi", out.support, out.values))
     return 0
 
 
@@ -165,10 +165,7 @@ def _cmd_decompose(args) -> int:
         raise ValueError("decompose needs a PMF input (.json) or --dist")
     grid = FrequencyGrid(args.grid) if args.grid is not None else None
     d = decompose(obj, args.n_max, grid=grid)
-    if args.output == "csv":
-        sys.stdout.write(flat_csv(decomposition_to_dict(d)))
-    else:
-        sys.stdout.write(dumps_json(decomposition_to_dict(d)))
+    _render(args, decomposition_to_dict(d))
     return 0
 
 
@@ -190,10 +187,7 @@ def _cmd_poisson_test(args) -> int:
         n_bootstrap=args.bootstrap,
         seed=args.seed,
     )
-    if args.output == "csv":
-        sys.stdout.write(flat_csv(test_result_to_dict(result)))
-    else:
-        sys.stdout.write(dumps_json(test_result_to_dict(result)))
+    _render(args, test_result_to_dict(result))
     return 3 if result.reject else 0
 
 

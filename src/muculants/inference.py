@@ -34,8 +34,9 @@ DEFAULT_WINDOW = (-8, 8)
 _POISSON_INDICES = (0, 1)
 
 # Bootstrap replicates go through the kernel in chunks of this many points
-# over the N-point grid (16 replicates when N = 512), which bounds the
-# memory a call needs whatever its n_bootstrap.
+# over the N-point grid (16 replicates when N = 512).  That bounds the
+# transforms' working set whatever n_bootstrap is; the multinomial
+# histograms and the coefficients still take one row per replicate.
 _CHUNK_POINTS = 8192
 
 # Poisson tails lighter than this are lumped into the end cells of the

@@ -107,10 +107,19 @@ def pmf_to_dict(f: PMF) -> dict:
     return d
 
 
+def _integer_field(d: dict, field: str) -> int:
+    """``d[field]`` when it is an integer; a float, bool or string is
+    refused rather than truncated."""
+    value = d[field]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f'"{field}" must be an integer, got {value!r}')
+    return int(value)
+
+
 def pmf_from_dict(d: dict) -> PMF:
     if "probs" not in d or "offset" not in d:
         raise ValueError('PMF object needs "offset" and "probs" fields')
-    f = validate_pmf(int(d["offset"]), d["probs"])
+    f = validate_pmf(_integer_field(d, "offset"), d["probs"])
     bound = float(d.get("tail_mass_bound", 0.0))
     if bound > f.tail_mass_bound:
         f = PMF(f.offset, f.probs, bound)
@@ -132,8 +141,8 @@ def muculants_from_dict(d: dict) -> MuculantSeq:
         if field not in d:
             raise ValueError(f'muculant object needs a "{field}" field')
     return MuculantSeq(
-        n_min=int(d["n_min"]),
-        n_max=int(d["n_max"]),
+        n_min=_integer_field(d, "n_min"),
+        n_max=_integer_field(d, "n_max"),
         values=np.asarray(d["values"], dtype=np.float64),
         kind=str(d["kind"]),
         imag_residual=float(d.get("imag_residual", 0.0)),

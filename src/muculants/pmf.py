@@ -19,9 +19,22 @@ _MINPHASE_MARGIN = 1e-10
 MAX_MOMENT_ORDER = 12
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+def frozen_vector(obj, name: str, length=None, dtype=np.float64) -> np.ndarray:
+    """Freeze array field ``name`` of the frozen dataclass ``obj`` in place.
+
+    The field is copied to ``dtype``, checked to be a nonempty 1-D vector
+    (exactly ``length`` long when given) with finite entries, made
+    read-only and stored back; ValueError otherwise.  Returns the copy.
+    """
+    a = np.array(getattr(obj, name), dtype=dtype)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector")
+    if length is not None and a.size != length:
+        raise ValueError(f"{name} must have length {length}, got {a.size}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     a.setflags(write=False)
+    object.__setattr__(obj, name, a)
     return a
 
 
@@ -43,12 +56,7 @@ class PMF:
     tail_mass_bound: float = 0.0
 
     def __post_init__(self):
-        probs = _frozen_array(self.probs)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite")
+        probs = frozen_vector(self, "probs")
         if np.any(probs < 0.0):
             raise NegativeMass("PMF entries must be nonnegative")
         if not 0.0 <= self.tail_mass_bound <= 1.0:
@@ -90,12 +98,7 @@ class SignedSequence:
     sum: float = field(init=False)
 
     def __post_init__(self):
-        v = _frozen_array(self.values)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+        v = frozen_vector(self, "values")
         object.__setattr__(self, "sum", float(v.sum()))
 
     def __len__(self) -> int:
@@ -120,12 +123,7 @@ class CumulantVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("need at least one cumulant")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cumulants must be finite")
+        frozen_vector(self, "values")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -147,10 +145,8 @@ def validate_pmf(offset: int, values) -> PMF:
     zeros are folded into ``offset``.
     """
     v = np.array(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
+    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
+        raise ValueError("values must be a nonempty 1-D vector of finite numbers")
     if np.any(v < _CLAMP):
         raise NegativeMass(f"entry {float(v.min())!r} below the -1e-14 noise floor")
     v[v < 0.0] = 0.0

@@ -26,7 +26,7 @@ from .errors import (
     SupportTooSmall,
     TruncationUnsafe,
 )
-from .pmf import PMF, CumulantVector, SignedSequence
+from .pmf import PMF, CumulantVector, SignedSequence, frozen_vector
 
 # Imaginary parts above this mean the transform went wrong.
 IMAG_TOL = 1e-8
@@ -53,15 +53,9 @@ class MuculantSeq:
     imag_residual: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         if not (self.n_min <= 0 <= self.n_max):
             raise ValueError("index range must contain zero")
-        if v.shape != (self.n_max - self.n_min + 1,):
-            raise ValueError("values length must match the index range")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coefficients must be finite")
+        v = frozen_vector(self, "values", self.n_max - self.n_min + 1)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if not 0.0 <= self.imag_residual < IMAG_TOL:

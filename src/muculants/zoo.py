@@ -314,17 +314,13 @@ def parse_spec(text: str) -> DistributionSpec:
 
 
 def spec_string(spec: DistributionSpec) -> str:
-    """Inverse of :func:`parse_spec`, canonical form."""
-    if isinstance(spec, Poisson):
-        return f"poisson:lambda={spec.lam:g}"
-    if isinstance(spec, Degenerate):
-        return f"degenerate:m={spec.m}"
-    if isinstance(spec, Bernoulli):
-        return f"bernoulli:p={spec.p:g}"
-    if isinstance(spec, Geometric):
-        return f"geometric:p={spec.p:g}"
-    if isinstance(spec, NegativeBinomial):
-        return f"negbinomial:r={spec.r},p={spec.p:g}"
-    if isinstance(spec, Binomial):
-        return f"binomial:n={spec.n},p={spec.p:g}"
+    """Inverse of :func:`parse_spec`, canonical form.  Floats print as the
+    shortest text that parses back to the same value, less a trailing ".0"."""
+    for name, (cls, schema) in _FAMILIES.items():
+        if isinstance(spec, cls):
+            params = (
+                f"{key}={repr(getattr(spec, field)).removesuffix('.0')}"
+                for key, (field, _) in schema.items()
+            )
+            return f"{name}:{','.join(params)}"
     raise TypeError(f"not a distribution spec: {spec!r}")

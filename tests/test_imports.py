@@ -1,8 +1,13 @@
-"""Every top-level import in the package modules is used.
+"""Static checks on the package source.
 
-No linter ships with the test dependencies, so this is a small stdlib-only
-check: a name bound by a module-level ``import`` must be read somewhere in
-that module.  ``__init__.py`` is exempt, since its imports are re-exports.
+No linter ships with the test dependencies, so these are small stdlib-only
+``ast`` checks:
+
+- every top-level import is used: a name bound by a module-level ``import``
+  must be read somewhere in that module (``__init__.py`` is exempt, since
+  its imports are re-exports);
+- arrays are frozen in one place: ``.setflags(`` is called only inside
+  ``pmf.frozen_vector``, the validator every dataclass array field uses.
 """
 
 import ast
@@ -37,3 +42,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def setflags_callers(source: str) -> list[str]:
+    """Name of the function around each ``.setflags(`` call, in source
+    order; "<module>" for a call outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "setflags"
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_setflags_callers():
+    source = (
+        "def f(a):\n    a.setflags(write=False)\n"
+        "class C:\n    def g(self):\n        self.x.setflags(write=False)\n"
+        "y.setflags(write=False)\n"
+    )
+    assert setflags_callers(source) == ["f", "g", "<module>"]
+    assert setflags_callers("np.zeros(3).flags.writeable\n") == []
+
+
+def test_only_frozen_vector_freezes_arrays():
+    callers = {p.name: setflags_callers(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: c for name, c in callers.items() if c} == {"pmf.py": ["frozen_vector"]}

@@ -361,6 +361,40 @@ def test_cli_domain_errors_exit_one(capsys, tmp_path):
     assert "CharFnVanishes" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("muculants", {"offset": 1.9, "probs": [0.7, 0.3]}, "offset"),
+        ("muculants", {"offset": True, "probs": [0.7, 0.3]}, "offset"),
+        ("muculants", {"offset": "1", "probs": [0.7, 0.3]}, "offset"),
+        (
+            "reconstruct",
+            {"kind": "complex", "n_min": -0.5, "n_max": 1, "values": [-0.5, 0.5]},
+            "n_min",
+        ),
+        (
+            "reconstruct",
+            {"kind": "complex", "n_min": 0, "n_max": 1.9, "values": [-0.5, 0.5]},
+            "n_max",
+        ),
+    ],
+)
+def test_cli_refuses_json_indices_that_are_not_integers(capsys, tmp_path, command, doc, field):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    argv = [command, "--input", str(p)] + (["--support", "0:3"] if command == "reconstruct" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    value = doc[field]
+    assert err == f'error: ValueError: "{field}" must be an integer, got {value!r}\n'
+
+
+def test_json_indices_accept_integers():
+    assert pmf_from_dict({"offset": np.int64(-2), "probs": [0.7, 0.3]}).offset == -2
+    m = muculants_from_dict({"kind": "complex", "n_min": -1, "n_max": 0, "values": [0.1, -0.5]})
+    assert (m.n_min, m.n_max) == (-1, 0)
+
+
 def test_cli_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "muculants", "--input", "/no/such/file.txt")
     assert code == 2

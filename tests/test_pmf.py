@@ -4,12 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from muculants import (
+    PMF,
+    CharFnSamples,
+    CumulantVector,
+    FrequencyGrid,
+    LogCharFnSamples,
+    MuculantSeq,
     NegativeMass,
     NotCausal,
     NotNormalized,
-    PMF,
     SignedSequence,
     autocorrelation,
+    complex_log,
+    eval_charfn,
     convolve,
     is_minimum_phase,
     moments_to_cumulants,
@@ -182,3 +189,54 @@ def test_signed_sequence_window_lookup():
     assert s.value_at(-1) == 0.5
     assert s.value_at(5) == 0.0
     np.testing.assert_array_equal(s.support, [-1, 0, 1])
+
+
+# ---------------------------------------------------------- array contract
+
+_GRID = FrequencyGrid(64)
+_CF = eval_charfn(validate_pmf(0, [0.3, 0.7]), _GRID)
+_LOG = complex_log(_CF)
+
+# field -> (build from the field's array, a valid array, whether its length is fixed)
+ARRAY_FIELDS = {
+    "PMF.probs": (lambda a: PMF(0, a), [0.3, 0.7], False),
+    "SignedSequence.values": (lambda a: SignedSequence(-1, a), [0.5, -0.25, 2.0], False),
+    "CumulantVector.values": (lambda a: CumulantVector(a), [1.0, 2.0, -3.0], False),
+    "MuculantSeq.values": (
+        lambda a: MuculantSeq(-1, 1, a, "complex", 0.0), [0.1, -0.5, 0.2], True
+    ),
+    "CharFnSamples.values": (
+        lambda a: CharFnSamples(_GRID, a, "exact-from-pmf"), _CF.values, True
+    ),
+    "LogCharFnSamples.log_magnitude": (
+        lambda a: LogCharFnSamples(_GRID, a, _LOG.phase, _LOG.min_abs), _LOG.log_magnitude, True
+    ),
+    "LogCharFnSamples.phase": (
+        lambda a: LogCharFnSamples(_GRID, _LOG.log_magnitude, a, _LOG.min_abs), _LOG.phase, True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_array_fields_are_frozen_checked_copies(name):
+    build, valid, fixed_length = ARRAY_FIELDS[name]
+    field = name.split(".")[1]
+    caller = np.array(valid)
+    stored = getattr(build(caller), field)
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0] = 0.5
+    caller[0] = 9.0
+    assert stored[0] == valid[0]
+    np.testing.assert_array_equal(stored, valid)
+
+    bad = np.array(valid)
+    bad[1] = np.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build(bad)
+    misshapen = [np.stack([valid, valid]), np.array(valid)[:0]]
+    if fixed_length:
+        misshapen += [np.array(valid)[:-1], np.append(valid, valid[0])]
+    for a in misshapen:
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            build(a)

@@ -64,9 +64,26 @@ def test_geometric_family_allows_half():
     zoo_pmf(NegativeBinomial(3, 0.5))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
+@pytest.mark.parametrize("spec", ALL_SPECS + [Poisson(0.1234567), Geometric(0.123456789)])
 def test_spec_string_round_trip(spec):
     assert parse_spec(spec_string(spec)) == spec
+
+
+def test_spec_strings_are_pinned():
+    got = [spec_string(s) for s in ALL_SPECS + [Poisson(0.1234567), Poisson(1e-5)]]
+    assert got == [
+        "poisson:lambda=2",
+        "geometric:p=0.2",
+        "bernoulli:p=0.2",
+        "bernoulli:p=0.7",
+        "binomial:n=5,p=0.2",
+        "binomial:n=4,p=0.8",
+        "negbinomial:r=2,p=0.3",
+        "degenerate:m=3",
+        "degenerate:m=-2",
+        "poisson:lambda=0.1234567",
+        "poisson:lambda=1e-05",
+    ]
 
 
 @pytest.mark.parametrize(
