@@ -309,8 +309,26 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+# Options whose LO:HI value may start with a minus sign.
+_RANGE_FLAGS = ("--support", "--window")
+
+
+def _attach_range_values(argv: list) -> list:
+    """``--support -4:10`` as ``--support=-4:10``.  argparse takes any
+    separate value that starts with "-" (and is not a plain number) for an
+    option and stops with "expected one argument"; the joined spelling is
+    read as the flag's value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and arg.startswith("-") and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except MuculantError as exc:

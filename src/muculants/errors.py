@@ -45,8 +45,8 @@ class ImagResidualTooLarge(MuculantError):
 
 
 class NotApplicable(MuculantError):
-    """The causal coefficient recursion requires support starting at zero
-    with a nonvanishing leading probability."""
+    """The causal coefficient recursion requires a minimum-phase PMF whose
+    support starts at zero with a nonvanishing leading probability."""
 
 
 class SupportTooSmall(MuculantError):

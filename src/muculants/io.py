@@ -116,11 +116,20 @@ def _integer_field(d: dict, field: str) -> int:
     return int(value)
 
 
+def _number_field(d: dict, field: str) -> float:
+    """``d[field]`` (0.0 when absent) when it is a number; a bool or string
+    is refused rather than coerced."""
+    value = d.get(field, 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f'"{field}" must be a number, got {value!r}')
+    return float(value)
+
+
 def pmf_from_dict(d: dict) -> PMF:
     if "probs" not in d or "offset" not in d:
         raise ValueError('PMF object needs "offset" and "probs" fields')
     f = validate_pmf(_integer_field(d, "offset"), d["probs"])
-    bound = float(d.get("tail_mass_bound", 0.0))
+    bound = _number_field(d, "tail_mass_bound")
     if bound > f.tail_mass_bound:
         f = PMF(f.offset, f.probs, bound)
     return f
@@ -145,7 +154,7 @@ def muculants_from_dict(d: dict) -> MuculantSeq:
         n_max=_integer_field(d, "n_max"),
         values=np.asarray(d["values"], dtype=np.float64),
         kind=str(d["kind"]),
-        imag_residual=float(d.get("imag_residual", 0.0)),
+        imag_residual=_number_field(d, "imag_residual"),
     )
 
 

@@ -4,7 +4,11 @@ import numpy as np
 
 from muculants import (
     PMF,
+    Binomial,
     FrequencyGrid,
+    Geometric,
+    NegativeBinomial,
+    Poisson,
     complex_log,
     complex_muculants,
     eval_charfn,
@@ -47,3 +51,15 @@ def random_pmf(rng: np.random.Generator, max_width: int = 8) -> PMF:
         if min_abs_charfn(f) >= MIN_ABS_CF:
             return f
     raise AssertionError("random_pmf failed to find a usable candidate")
+
+
+# Causal zoo laws for the minimum-phase predicate and the recursion: Poisson
+# lambda = 0.25..9.75 in steps of 0.25; Binomial n in {2, 5, 10, 15, 20, 30}
+# with p = k/40 (p = 1/2 has a zero on the circle and is no zoo law);
+# NegativeBinomial r in {1, 2, 3, 5, 8} and Geometric with p = k/20.
+CAUSAL_ZOO_SWEEP = (
+    [Poisson(k / 4) for k in range(1, 40)]
+    + [Binomial(n, k / 40) for n in (2, 5, 10, 15, 20, 30) for k in range(1, 40) if k != 20]
+    + [NegativeBinomial(r, k / 20) for r in (1, 2, 3, 5, 8) for k in range(1, 20)]
+    + [Geometric(k / 20) for k in range(1, 20)]
+)

@@ -7,7 +7,10 @@ No linter ships with the test dependencies, so these are small stdlib-only
   must be read somewhere in that module (``__init__.py`` is exempt, since
   its imports are re-exports);
 - arrays are frozen in one place: ``.setflags(`` is called only inside
-  ``pmf.frozen_vector``, the validator every dataclass array field uses.
+  ``pmf.frozen_vector``, the validator every dataclass array field uses;
+- no root finder: nothing calls ``roots(`` (``np.roots`` is O(L^3) and took
+  21 ms on a 124-long PMF; the zero test is a step-down, and the tests keep
+  ``np.roots`` as its reference).
 """
 
 import ast
@@ -79,3 +82,24 @@ def test_checker_finds_setflags_callers():
 def test_only_frozen_vector_freezes_arrays():
     callers = {p.name: setflags_callers(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: c for name, c in callers.items() if c} == {"pmf.py": ["frozen_vector"]}
+
+
+def roots_calls(source: str) -> list[int]:
+    """Line of each call to a function named ``roots``, bare or dotted."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "roots"
+    ]
+
+
+def test_checker_finds_roots_calls():
+    assert roots_calls("import numpy as np\nr = np.roots([1, 2])\n") == [2]
+    assert roots_calls("from numpy import roots\nroots(p)\n") == [2]
+    assert roots_calls("x.roots\nrootsish(p)\n") == []
+
+
+def test_no_root_finder_in_the_package():
+    calls = {p.name: roots_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -301,6 +301,36 @@ def test_cli_reconstruct_round_trip(capsys):
     assert doc["sum"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_cli_support_takes_a_negative_low_end_as_a_separate_argument(capsys, output):
+    base = ("reconstruct", "--dist", "poisson:lambda=2", "--n-max", "30", "--output", output)
+    joined = run_cli(capsys, *base, "--support=-4:14")
+    separate = run_cli(capsys, *base, "--support", "-4:14")
+    assert joined[0] == 0
+    assert separate == joined
+    if output == "json":
+        assert json.loads(separate[1])["offset"] == -4
+
+
+def test_cli_window_takes_a_negative_low_end_as_a_separate_argument(capsys, tmp_path):
+    p = tmp_path / "pois.txt"
+    p.write_text("\n".join(str(x) for x in np.random.default_rng(3).poisson(3.0, 2000)))
+    base = ("poisson-test", "--input", str(p), "--bootstrap", "50")
+    default = run_cli(capsys, *base)
+    assert default[0] == 0
+    assert run_cli(capsys, *base, "--window", "-8:8") == default  # the default, spelled out
+    narrow = run_cli(capsys, *base, "--window", "-4:4")
+    assert narrow == run_cli(capsys, *base, "--window=-4:4")
+    assert json.loads(narrow[1])["window"] == [-4, 4]
+
+
+def test_cli_range_flags_still_need_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--dist", "poisson:lambda=2", "--support", "--output", "csv"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_cli_decompose_reports_both_factors(capsys, tmp_path):
     g = zoo_pmf(Geometric(0.5))
     left = validate_pmf(-(len(g) - 1), g.probs[::-1])
@@ -387,6 +417,46 @@ def test_cli_refuses_json_indices_that_are_not_integers(capsys, tmp_path, comman
     assert (code, out) == (2, "")
     value = doc[field]
     assert err == f'error: ValueError: "{field}" must be an integer, got {value!r}\n'
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [0.5]], ids=repr)
+def test_float_fields_refuse_what_json_numbers_are_not(value):
+    pmf = {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": value}
+    with pytest.raises(ValueError, match='"tail_mass_bound" must be a number'):
+        pmf_from_dict(pmf)
+    seq = {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": value}
+    with pytest.raises(ValueError, match='"imag_residual" must be a number'):
+        muculants_from_dict(seq)
+
+
+def test_float_fields_accept_json_numbers():
+    pmf = {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": 0.02}
+    assert pmf_from_dict(pmf).tail_mass_bound == 0.02
+    assert pmf_from_dict(dict(pmf, tail_mass_bound=0)).tail_mass_bound == 0.0
+    seq = {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": 1e-12}
+    assert muculants_from_dict(seq).imag_residual == 1e-12
+    assert muculants_from_dict(dict(seq, imag_residual=0)).imag_residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("muculants", {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": True}, "tail_mass_bound"),
+        ("muculants", {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": "0.5"}, "tail_mass_bound"),
+        (
+            "reconstruct",
+            {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": "0"},
+            "imag_residual",
+        ),
+    ],
+)
+def test_cli_refuses_json_float_fields_that_are_not_numbers(capsys, tmp_path, command, doc, field):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    argv = [command, "--input", str(p)] + (["--support", "0:3"] if command == "reconstruct" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f'error: ValueError: "{field}" must be a number, got {doc[field]!r}\n'
 
 
 def test_json_indices_accept_integers():

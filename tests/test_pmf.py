@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from muculants import (
     PMF,
+    Binomial,
     CharFnSamples,
     CumulantVector,
     FrequencyGrid,
+    Geometric,
     LogCharFnSamples,
     MuculantSeq,
     NegativeMass,
@@ -21,10 +23,12 @@ from muculants import (
     is_minimum_phase,
     moments_to_cumulants,
     raw_moment,
+    support_width,
     validate_pmf,
+    zoo_pmf,
 )
 
-from support import random_pmf
+from support import CAUSAL_ZOO_SWEEP, random_pmf
 
 
 def test_validate_clamps_fp_noise():
@@ -176,6 +180,54 @@ def test_minimum_phase_geometric_tail():
     probs = p * (1 - p) ** np.arange(120)
     f = validate_pmf(0, probs / probs.sum())
     assert is_minimum_phase(f)
+
+
+def all_zeros_inside(f) -> bool:
+    """The predicate from a companion-matrix root finder: the reference."""
+    return bool(np.all(np.abs(np.roots(f.probs)) < 1.0 - 1e-10))
+
+
+def test_step_down_matches_root_finder_on_random_pmfs():
+    # geometric tilts p[i] ~ u_i * t^i with t in [0.3, 1.3] give a mix of
+    # both answers: about 40% of these 3,000 are minimum phase
+    rng = np.random.default_rng(20261018)
+    answers = []
+    for _ in range(3000):
+        length = int(rng.integers(2, 41))
+        probs = rng.random(length) * rng.uniform(0.3, 1.3) ** np.arange(length)
+        f = validate_pmf(0, probs / probs.sum())
+        want = all_zeros_inside(f)
+        assert is_minimum_phase(f) is want, f.probs
+        answers.append(want)
+    assert 0.25 < np.mean(answers) < 0.75
+
+
+def test_step_down_matches_root_finder_on_zoo_laws_above_the_floor():
+    checked = 0
+    for spec in CAUSAL_ZOO_SWEEP:
+        f = zoo_pmf(spec)
+        grid = FrequencyGrid.for_width(support_width(f))
+        if np.abs(eval_charfn(f, grid).values).min() < 1e-8:
+            continue
+        assert is_minimum_phase(f) is all_zeros_inside(f), spec
+        checked += 1
+    assert checked > 200
+
+
+def test_step_down_on_a_long_support():
+    f = zoo_pmf(Geometric(0.01))
+    assert len(f) == 2750
+    assert is_minimum_phase(f)
+
+
+def test_multiple_zero_below_the_floor_can_flip_the_predicate():
+    # a 30-fold zero at -0.54: rounding splits it, the step-down calls the
+    # law not minimum phase where the root finder does not; |Phi(pi)| is
+    # about 2e-16, far below the floor, so no route computes its coefficients
+    f = zoo_pmf(Binomial(30, 0.35))
+    assert abs(float(np.sum(f.probs * (-1.0) ** np.arange(len(f))))) < 1e-15
+    assert not is_minimum_phase(f)
+    assert all_zeros_inside(f)
 
 
 def test_minimum_phase_requires_causal():

@@ -19,6 +19,7 @@ from muculants import (
     complex_muculants,
     cumulants_from_muculants,
     eval_charfn,
+    is_minimum_phase,
     power_muculants,
     reconstruct_charfn,
     reconstruct_sequence,
@@ -28,7 +29,7 @@ from muculants import (
     zoo_pmf,
 )
 
-from support import grid_muculants, random_pmf
+from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf
 
 
 def geometric_pmf(p: float):
@@ -225,6 +226,81 @@ def test_recursion_requires_causal_start():
     shifted = validate_pmf(2, [0.4, 0.6])
     with pytest.raises(NotApplicable):
         recursive_minphase_muculants(shifted, 5)
+
+
+@pytest.mark.parametrize("spec", [Poisson(20), Binomial(20, 0.45), Binomial(40, 0.45)], ids=repr)
+def test_recursion_refuses_laws_that_are_not_minimum_phase(spec):
+    # the series of log(P(z)/f[0]) diverges on the circle: unguarded, the
+    # recursion returned finite values off by 1e+07 to 1e+48 at n_max = 200
+    with pytest.raises(NotApplicable, match="not minimum phase"):
+        recursive_minphase_muculants(zoo_pmf(spec), 200)
+
+
+@pytest.mark.parametrize("spec", [Poisson(12), Binomial(40, 0.3)], ids=repr)
+def test_recursion_refuses_laws_below_the_vanishing_floor(spec):
+    # minimum phase, but |Phi| dips below 1e-8, where the coefficients are
+    # not numerically defined (unguarded: off by 1.7e-3 and 7.8e-3)
+    f = zoo_pmf(spec)
+    assert is_minimum_phase(f)
+    with pytest.raises(CharFnVanishes):
+        recursive_minphase_muculants(f, 200)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Poisson(lam) for lam in (1.5, 2.5, 3.0, 4.0)]
+    + [Geometric(p) for p in (0.18, 0.25, 0.3, 0.5)]
+    + [Bernoulli(p) for p in (0.1, 0.3, 0.45)]
+    + [Binomial(n, p) for n in (5, 10) for p in (0.1, 0.3)]
+    + [NegativeBinomial(r, p) for r in (2, 3) for p in (0.2, 0.35)],
+    ids=repr,
+)
+def test_recursion_passes_both_guards_on_the_benchmark_families(spec):
+    # the ends of the parameter ranges the spectral benchmark draws from
+    rec = recursive_minphase_muculants(zoo_pmf(spec), 1000)
+    want = zoo_muculants(spec, (0, 1000)).values
+    np.testing.assert_allclose(rec.values, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [Poisson(3.5), NegativeBinomial(3, 0.3)], ids=repr)
+@pytest.mark.parametrize("n_max", [0, 1, 63, 64, 65, 1000])
+def test_recursion_at_the_block_edges(spec, n_max):
+    f = zoo_pmf(spec)
+    rec = recursive_minphase_muculants(f, n_max)
+    assert (rec.n_min, rec.n_max) == (0, n_max)
+    np.testing.assert_allclose(rec.values, reference_recursion(f, n_max), rtol=0, atol=1e-13)
+
+
+def test_recursion_far_below_the_support_length():
+    # 2750 probabilities, 1001 coefficients: the earlier values' window is
+    # every computed value, never the last L - 1 alone
+    f = geometric_pmf(0.01)
+    assert len(f) == 2750
+    rec = recursive_minphase_muculants(f, 1000)
+    want = zoo_muculants(Geometric(0.01), (0, 1000)).values
+    np.testing.assert_allclose(rec.values, want, rtol=0, atol=1e-14)
+
+
+def test_recursion_tracks_the_reference_loop_over_the_zoo():
+    """Every causal zoo law either fails a guard or lies within
+    max(10 g, 1e-8) of its closed form, g being the per-index loop's own
+    gap to it.  The worst ratio d/g among gaps above 1e-12 is printed."""
+    n_max = 200
+    ratios = []
+    for spec in CAUSAL_ZOO_SWEEP:
+        f = zoo_pmf(spec)
+        try:
+            rec = recursive_minphase_muculants(f, n_max)
+        except (NotApplicable, CharFnVanishes):
+            continue
+        want = zoo_muculants(spec, (0, n_max)).values
+        d = float(np.max(np.abs(rec.values - want)))
+        g = float(np.max(np.abs(reference_recursion(f, n_max) - want)))
+        assert d <= max(10.0 * g, 1e-8), (spec, d, g)
+        if d > 1e-12:
+            ratios.append((d / g, spec))
+    assert len(ratios) > 50
+    print("worst ratio %.2f at %r" % max(ratios, key=lambda r: r[0]))
 
 
 # ------------------------------------------------------------ reconstruction
