@@ -62,8 +62,10 @@ def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decom
 
     Pipeline: charfn -> complex and power coefficients at ``n_max`` ->
     causal split of the power sequence -> the allpass coefficients are the
-    difference -> both factors reconstructed on a window of twice the input
-    support width each way, doubled a few times if mass spills out.
+    difference -> both factors reconstructed on the half spectrum (one
+    rfft, one exp over N/2 + 1 points and one irfft each, see
+    :func:`reconstruct_sequence`) on a window of twice the input support
+    width each way, doubled a few times if mass spills out.
 
     The factors are returned as signed sequences; each is flagged as a PMF
     iff it is nonnegative within 1e-10 and sums to 1 within 1e-8.  A

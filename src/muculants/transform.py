@@ -16,8 +16,8 @@ from .charfn import (
     FrequencyGrid,
     LogCharFnSamples,
     eval_charfn,
+    fold_indices,
     grid_analysis,
-    grid_synthesis,
     require_modulus,
     span_width,
     support_width,
@@ -197,27 +197,52 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     return MuculantSeq(0, n_max, vals, "complex", 0.0)
 
 
-def reconstruct_charfn(seq: MuculantSeq, grid: FrequencyGrid) -> CharFnSamples:
-    """exp(sum_n c[n] e^{j mu n}) on the grid.
+def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:
+    """conj(Phi) at mu = 0, 2pi/N, ..., pi for the coefficients ``seq``.
 
-    The all-zero sequence gives Phi identically one (the unit mass at zero).
-    Power sequences carry no phase and cannot be inverted here.
+    The coefficients are real, so Phi is Hermitian and mu in [0, pi] carries
+    all of it: one rfft of the coefficients folded modulo N gives the
+    conjugate of sum_n c[n] e^{j mu n} there, and one exp over N/2 + 1
+    points gives conj(Phi).  Raises ValueError for power-kind input and
+    unless every value is finite.
     """
     if seq.kind != "complex":
         raise ValueError("reconstruction needs complex-kind coefficients")
-    log_values = grid_synthesis(seq.values, seq.n_min, grid)
-    return CharFnSamples(grid, np.exp(log_values), "reconstructed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(np.fft.rfft(fold_indices(seq.values, seq.n_min, n)))
+    if not np.isfinite(half).all():
+        raise ValueError("reconstructed charfn is not finite")
+    return half
+
+
+def reconstruct_charfn(seq: MuculantSeq, grid: FrequencyGrid) -> CharFnSamples:
+    """exp(sum_n c[n] e^{j mu n}) on the grid.
+
+    Computed on mu in [0, pi] by :func:`_half_charfn` and mirrored onto the
+    grid (mu = -mu_k holds the conjugate of mu_k), so the samples are
+    exactly Hermitian however large |Phi| runs.  The all-zero sequence
+    gives Phi identically one (the unit mass at zero).  Power sequences
+    carry no phase and cannot be inverted here.
+    """
+    n = grid.n_points
+    h = n // 2
+    half = _half_charfn(seq, n)
+    values = np.empty(n, dtype=np.complex128)
+    values[:h] = half[h:0:-1]  # mu = -pi, ..., -2pi/N
+    values[h:] = np.conj(half[:h])  # mu = 0, ..., pi - 2pi/N
+    return CharFnSamples(grid, values, "reconstructed")
 
 
 def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     """Sequence whose charfn the coefficients describe, on a support window.
 
     ``support`` is an inclusive integer range ``(lo, hi)``.  The charfn is
-    synthesized on a grid with at least four points per index of the window
-    (origin included) and per coefficient index, and Fourier-analyzed back;
-    window-external values are discarded, and if the discarded magnitudes
-    total more than 1e-6 the window was genuinely too small and
-    :class:`SupportTooSmall` is raised.
+    taken on mu in [0, pi] of a grid with at least four points per index
+    of the window (origin included) and per coefficient index
+    (:func:`_half_charfn`), and one irfft gives the full period of the
+    sequence at x mod N.  Values outside the window are discarded, and if
+    the discarded magnitudes total more than 1e-6 the window was genuinely
+    too small and :class:`SupportTooSmall` is raised.
 
     Returns a :class:`SignedSequence`: a truncated coefficient sequence
     need not describe a distribution, and no claim is made here about when
@@ -228,19 +253,17 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     lo, hi = int(support[0]), int(support[1])
     if lo > hi:
         raise ValueError("support range is empty")
-    grid = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min))
-    cf = reconstruct_charfn(seq, grid)
-    n = grid.n_points
-    ns = np.arange(-(n // 2), n // 2)
-    full = grid_analysis(cf.values, ns).real
-    inside = (ns >= lo) & (ns <= hi)
-    discarded = float(np.sum(np.abs(full[~inside])))
+    n = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min)).n_points
+    # the period starting at lo: the window first, then everything outside
+    full = np.roll(np.fft.irfft(_half_charfn(seq, n), n), -lo)
+    width = hi - lo + 1
+    discarded = float(np.sum(np.abs(full[width:])))
     if discarded > 1e-6:
         raise SupportTooSmall(
             f"{discarded:.3e} of reconstructed magnitude falls outside "
             f"[{lo}, {hi}]"
         )
-    return SignedSequence(lo, full[inside])
+    return SignedSequence(lo, full[:width])
 
 
 def cumulants_from_muculants(seq: MuculantSeq, k_max: int) -> CumulantVector:

@@ -97,11 +97,12 @@ class _Seen(Exception):
 def spy_grid(monkeypatch, module, name):
     """Replace ``module.name`` by a spy that stops the route there; the
     returned function runs a call and gives the grid size the spy saw (the
-    second positional argument of the replaced function)."""
+    second positional argument of the replaced function: a grid, or the
+    number of its points)."""
     seen = []
 
     def spy(_first, grid, *rest, **kw):
-        seen.append(grid.n_points)
+        seen.append(getattr(grid, "n_points", grid))
         raise _Seen
 
     def grid_of(call, *args, **kw):
@@ -152,7 +153,8 @@ def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
 
 
 def test_reconstruction_grid_is_the_old_rule_where_the_window_holds_the_origin(monkeypatch):
-    grid_of = spy_grid(monkeypatch, transform_module, "reconstruct_charfn")
+    # the grid size the half-spectrum kernel receives
+    grid_of = spy_grid(monkeypatch, transform_module, "_half_charfn")
     for n_max in (0, 16, 17, 64, 65, 128, 129, 1200):
         # causal or anti-causal: either end of the sequence may set n_max
         if n_max % 2:

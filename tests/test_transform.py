@@ -1,10 +1,15 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
 from muculants import (
     Bernoulli,
     Binomial,
+    CharFnSamples,
     CharFnVanishes,
+    Degenerate,
     FrequencyGrid,
     Geometric,
     ImagResidualTooLarge,
@@ -13,12 +18,16 @@ from muculants import (
     NegativeBinomial,
     NotApplicable,
     Poisson,
+    SignedSequence,
     SupportTooSmall,
     TruncationUnsafe,
     complex_log,
     complex_muculants,
     cumulants_from_muculants,
+    decompose,
     eval_charfn,
+    grid_analysis,
+    grid_synthesis,
     is_minimum_phase,
     power_muculants,
     reconstruct_charfn,
@@ -28,8 +37,13 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
+from muculants.charfn import span_width
 
 from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf
+
+
+# the package namespace re-exports functions under their modules' names
+decompose_module = importlib.import_module("muculants.decompose")
 
 
 def geometric_pmf(p: float):
@@ -317,8 +331,9 @@ def test_reconstruct_charfn_poisson():
 
 def test_reconstruct_charfn_of_nothing_is_one():
     m = MuculantSeq(0, 0, np.zeros(1), "complex", 0.0)
-    cf = reconstruct_charfn(m, FrequencyGrid(64))
-    np.testing.assert_allclose(cf.values, 1.0, atol=0)
+    for n in (64, 4096):
+        cf = reconstruct_charfn(m, FrequencyGrid(n))
+        np.testing.assert_allclose(cf.values, 1.0, atol=0)
 
 
 def test_reconstruct_charfn_geometric_truncation_error():
@@ -348,12 +363,190 @@ def test_reconstruct_sequence_of_nothing_is_delta():
     seq = reconstruct_sequence(m, (-2, 2))
     assert seq.value_at(0) == pytest.approx(1.0, abs=1e-12)
     assert abs(seq.value_at(1)) < 1e-12
+    np.testing.assert_allclose(seq.values, [0.0, 0.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_reconstruct_sequence_window_too_small():
     m = zoo_muculants(Poisson(2.0), (-30, 30))
     with pytest.raises(SupportTooSmall):
         reconstruct_sequence(m, (0, 3))
+
+
+def test_reconstruct_sequence_rejects_power_kind():
+    p = power_muculants(eval_charfn(validate_pmf(0, [0.6, 0.4]), FrequencyGrid(64)), 5)
+    with pytest.raises(ValueError):
+        reconstruct_sequence(p, (-2, 2))
+
+
+def test_reconstruct_charfn_is_exactly_hermitian():
+    rng = np.random.default_rng(9)
+    m = MuculantSeq(-7, 12, 3.0 * rng.standard_normal(20), "complex", 0.0)
+    v = reconstruct_charfn(m, FrequencyGrid(128)).values
+    np.testing.assert_array_equal(v[1:64], np.conj(v[:64:-1]))
+    assert v[0].imag == 0.0 and v[64].imag == 0.0
+
+
+# c[0] = 0, c[1] = 10: Phi = exp(10 e^{j mu}), e^10 times the Poisson(10) charfn
+LARGE = MuculantSeq(0, 1, np.array([0.0, 10.0]), "complex", 0.0)
+
+
+def test_reconstruct_charfn_of_a_large_charfn():
+    g = FrequencyGrid(256)
+    np.testing.assert_allclose(
+        reconstruct_charfn(LARGE, g).values, np.exp(10.0 * np.exp(1j * g.points)), rtol=1e-14, atol=0
+    )
+
+
+def test_reconstruct_sequence_of_a_large_charfn():
+    seq = reconstruct_sequence(LARGE, (-10, 80))
+    want = np.array([10.0**x / math.factorial(x) if x >= 0 else 0.0 for x in range(-10, 81)])
+    assert np.max(np.abs(seq.values - want)) <= 1e-11 * want.max()
+
+
+def test_reconstruct_accepts_a_charfn_whose_fft_rounding_beats_the_hermitian_slack():
+    # |Phi| reaches e^13: the full-grid route's rounding breaks the 1e-10
+    # Hermitian check, while the mirrored half spectrum is exact
+    m = MuculantSeq(-1, 1, np.array([0.0, 3.0, 10.0]), "complex", 0.0)
+    for n in (64, 4096):
+        g = FrequencyGrid(n)
+        with pytest.raises(ValueError, match="Hermitian"):
+            reference_reconstruct_charfn(m, g)
+        want = np.exp(3.0 + 10.0 * np.exp(1j * g.points))
+        np.testing.assert_allclose(reconstruct_charfn(m, g).values, want, rtol=1e-14, atol=0)
+    seq = reconstruct_sequence(m, (-10, 80))
+    want = np.array([math.exp(3.0) * 10.0**x / math.factorial(x) if x >= 0 else 0.0 for x in range(-10, 81)])
+    assert np.max(np.abs(seq.values - want)) <= 1e-11 * want.max()
+
+
+def test_reconstruct_refuses_an_overflowing_charfn_before_any_inverse_transform(monkeypatch):
+    def no_irfft(*args, **kw):
+        raise AssertionError("irfft ran on a non-finite charfn")
+
+    monkeypatch.setattr(np.fft, "irfft", no_irfft)
+    m = MuculantSeq(-1, 1, np.array([0.0, 800.0, 0.0]), "complex", 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_sequence(m, (-2, 2))
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_charfn(m, FrequencyGrid(64))
+
+
+def test_reconstruct_sequence_far_mass_is_too_small_a_window():
+    # e^400 * Poisson(400): the mass lies near x = 400, far outside -5..5
+    m = MuculantSeq(0, 1, np.array([0.0, 400.0]), "complex", 0.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        reference_reconstruct_sequence(m, (-5, 5))
+    with pytest.raises(SupportTooSmall):
+        reconstruct_sequence(m, (-5, 5))
+
+
+# ------------------------------------- reconstruction against the full grid
+
+
+def reference_reconstruct_charfn(seq, grid):
+    """The full-grid route: synthesis over all N points, then exp."""
+    if seq.kind != "complex":
+        raise ValueError("reconstruction needs complex-kind coefficients")
+    log_values = grid_synthesis(seq.values, seq.n_min, grid)
+    return CharFnSamples(grid, np.exp(log_values), "reconstructed")
+
+
+def reference_window(seq, lo, hi):
+    """The full-grid route's window values and discarded magnitude."""
+    grid = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min))
+    cf = reference_reconstruct_charfn(seq, grid)
+    n = grid.n_points
+    ns = np.arange(-(n // 2), n // 2)
+    full = grid_analysis(cf.values, ns).real
+    inside = (ns >= lo) & (ns <= hi)
+    discarded = float(np.sum(np.abs(full[~inside])))
+    return full[inside], discarded
+
+
+def reference_reconstruct_sequence(seq, support):
+    """The full-grid route: analysis of the full-grid charfn."""
+    lo, hi = int(support[0]), int(support[1])
+    if lo > hi:
+        raise ValueError("support range is empty")
+    values, discarded = reference_window(seq, lo, hi)
+    if discarded > 1e-6:
+        raise SupportTooSmall(f"{discarded:.3e} of reconstructed magnitude falls outside [{lo}, {hi}]")
+    return SignedSequence(lo, values)
+
+
+SWEEP_LAWS = (
+    Poisson(2.0),
+    Poisson(0.5),
+    Geometric(0.3),
+    Geometric(0.6),
+    Bernoulli(0.3),
+    Bernoulli(0.7),
+    Binomial(5, 0.2),
+    NegativeBinomial(2, 0.3),
+    Degenerate(3),
+)
+# windows that hold the origin, that lie right of it, and wholly negative ones
+SWEEP_WINDOWS = ((-5, 40), (0, 30), (-3, 3), (-60, 12), (2, 30), (10, 60), (-40, -1), (-12, -2))
+
+
+def sweep_sequences():
+    """Two-sided, causal and anti-causal (mirrored) zoo coefficients."""
+    for spec in SWEEP_LAWS:
+        for n_max in (8, 20, 100):
+            two_sided = zoo_muculants(spec, (-n_max, n_max))
+            yield two_sided
+            yield zoo_muculants(spec, (0, n_max))
+            yield MuculantSeq(-n_max, n_max, two_sided.values[::-1], "complex", 0.0)
+
+
+def test_reconstruct_charfn_matches_the_full_grid_route():
+    for seq in sweep_sequences():
+        for n in (64, 512, 4096):
+            got = reconstruct_charfn(seq, FrequencyGrid(n)).values
+            want = reference_reconstruct_charfn(seq, FrequencyGrid(n)).values
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (seq.n_min, seq.n_max, n)
+
+
+def test_reconstruct_sequence_matches_the_full_grid_route():
+    outcomes = set()
+    for seq in sweep_sequences():
+        for lo, hi in SWEEP_WINDOWS:
+            want, discarded = reference_window(seq, lo, hi)
+            try:
+                got = reconstruct_sequence(seq, (lo, hi))
+            except SupportTooSmall:
+                got = None
+            if abs(discarded - 1e-6) > 1e-9:  # away from the budget's edge
+                assert (got is None) == (discarded > 1e-6), (seq.n_min, seq.n_max, lo, hi, discarded)
+            if got is not None:
+                assert got.offset == lo and len(got) == hi - lo + 1
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got.values - want)) <= 1e-14 * scale, (seq.n_min, seq.n_max, lo, hi)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}  # the sweep sees both decisions
+
+
+def test_decompose_matches_the_full_grid_route(monkeypatch):
+    # the laws the spectral benchmark decomposes, at its n_max = 100
+    g = zoo_pmf(Geometric(0.2))
+    laws = [
+        validate_pmf(-(len(g) - 1), g.probs[::-1]),
+        g,
+        zoo_pmf(Poisson(2.0)),
+        zoo_pmf(NegativeBinomial(2, 0.3)),
+        zoo_pmf(Binomial(5, 0.2)),
+        zoo_pmf(Geometric(0.01)),
+    ]
+    got = [decompose(f, 100) for f in laws]
+    monkeypatch.setattr(decompose_module, "reconstruct_sequence", reference_reconstruct_sequence)
+    for f, d in zip(laws, got):
+        ref = decompose(f, 100)
+        for name in ("minphase_seq", "allpass_seq"):
+            a, b = getattr(d, name), getattr(ref, name)
+            assert a.offset == b.offset and len(a) == len(b)
+            assert np.max(np.abs(a.values - b.values)) <= 1e-15, (f.offset, len(f), name)
+        assert d.minphase_is_pmf == ref.minphase_is_pmf
+        assert d.allpass_is_pmf == ref.allpass_is_pmf
 
 
 # ------------------------------------------------------------------ bridge
