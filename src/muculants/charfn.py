@@ -119,14 +119,19 @@ def grid_synthesis(coeffs, offset: int, grid: FrequencyGrid) -> np.ndarray:
     return np.fft.ifft(folded, norm="forward")
 
 
-def fold_indices(coeffs, offset: int, n: int) -> np.ndarray:
+def fold_indices(coeffs, offset: int, n: int, out=None) -> np.ndarray:
     """``coeffs[..., i]`` summed into bin (offset + i) mod n of the trailing
-    axis: the fold that makes an n-point transform exact for any support."""
+    axis: the fold that makes an n-point transform exact for any support.
+
+    ``out``, when given, is zeroed and receives the fold."""
     c = np.asarray(coeffs, dtype=np.float64)
-    folded = np.zeros(c.shape[:-1] + (n,))
+    if out is None:
+        out = np.zeros(c.shape[:-1] + (n,))
+    else:
+        out.fill(0.0)
     idx = (int(offset) + np.arange(c.shape[-1])) % n
-    np.add.at(folded, (..., idx), c)
-    return folded
+    np.add.at(out, (..., idx), c)
+    return out
 
 
 def grid_analysis(values: np.ndarray, ns) -> np.ndarray:

@@ -34,10 +34,11 @@ DEFAULT_WINDOW = (-8, 8)
 _POISSON_INDICES = (0, 1)
 
 # Bootstrap replicates go through the kernel in chunks of this many points
-# over the N-point grid (16 replicates when N = 512).  That bounds the
-# transforms' working set whatever n_bootstrap is; the multinomial
-# histograms and the coefficients still take one row per replicate.
-_CHUNK_POINTS = 8192
+# over the N-point grid (32 replicates when N = 512), every chunk written
+# into one workspace of about 0.4 MB built once per call.  Larger chunks
+# page-fault: the transforms' outputs and the unwrap's temporaries outgrow
+# what the allocator keeps mapped from one chunk to the next.
+_CHUNK_POINTS = 16384
 
 # Poisson tails lighter than this are lumped into the end cells of the
 # bootstrap histogram.
@@ -96,29 +97,52 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
 
 
-def _sample_coefficients(counts, offset: int, grid: FrequencyGrid, n_max: int):
+def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_sample_coefficients` on up to ``rows`` histogram
+    rows over an n-point grid: the folded histograms, then |Phi|, its
+    principal phase and the log over the N/2 + 1 points mu = 0..pi."""
+    half = (rows, n // 2 + 1)
+    return np.empty((rows, n)), np.empty(half), np.empty(half), np.empty(half, dtype=complex)
+
+
+def _sample_coefficients(counts, offset: int, grid: FrequencyGrid, n_max: int, work=None):
     """Coefficients c[-n_max..n_max] of the empirical log charfn of each
     histogram row of ``counts`` (NaN in rows below the 1e-3 floor), and
     each row's smallest |Phi|.
 
     Phi is Hermitian, so mu in [0, pi] carries it all: one rfft of the
-    folded histogram gives Phi there, the phase is unwrapped from mu = 0,
-    and one irfft of the conjugate log per row gives the real coefficients.
-    The irfft keeps only the real part at pi, so the phase there counts as
-    the jump midpoint 0, as in :func:`complex_log`.
+    folded histogram gives conj(Phi) there, whose log, with the phase
+    unwrapped from mu = 0, is what one irfft per row turns into the real
+    coefficients.  The irfft keeps only the real part at pi, so the phase
+    there counts as the jump midpoint 0, as in :func:`complex_log`.
+
+    The folded histograms, |Phi|, the phase and the log are written into
+    ``work``, a :func:`_workspace` of at least ``len(counts)`` rows (one is
+    built when none is given); the kept rows are moved to the front of the
+    same buffers.
     """
     n = grid.n_points
     require_index_range(n, n_max)
-    folded = fold_indices(counts / counts.sum(axis=-1, keepdims=True), offset, n)
-    phi = np.conj(np.fft.rfft(folded))  # mu = 0, 2pi/N, ..., pi
-    phi[:, 0] = 1.0  # exact by construction
-    mods = np.abs(phi)
-    min_abs = mods.min(axis=-1)
+    rows = len(counts)
+    if work is None:
+        work = _workspace(rows, n)
+    folded, mods, phase, log = (b[:rows] for b in work)
+    fold_indices(counts / counts.sum(axis=-1, keepdims=True), offset, n, out=folded)
+    spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
+    spec[:, 0] = 1.0  # exact by construction
+    min_abs = np.abs(spec, out=mods).min(axis=-1)
     keep = min_abs >= EMPIRICAL_FLOOR
-    coef = np.full((len(counts), 2 * n_max + 1), np.nan)
-    if keep.any():
-        phase = unwrap_phase(np.angle(phi[keep]))
-        cepstrum = np.fft.irfft(np.log(mods[keep]) - 1j * phase, n)  # c[k] at k mod N
+    coef = np.full((rows, 2 * n_max + 1), np.nan)
+    k = int(np.count_nonzero(keep))
+    if k:
+        if k < rows:
+            spec[:k] = spec[keep]
+            mods[:k] = mods[keep]
+        spec, mods, phase, log = spec[:k], mods[:k], phase[:k], log[:k]
+        np.arctan2(spec.imag, spec.real, out=phase)
+        np.log(mods, out=log.real)
+        log.imag = unwrap_phase(phase)
+        cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
         coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
     return coef, min_abs
 
@@ -159,8 +183,9 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     n_max = max(abs(int(window[0])), abs(int(window[1])), 1)
     mask = _window_mask(np.arange(-n_max, n_max + 1), window)
     rows = max(1, _CHUNK_POINTS // grid.n_points)
+    work = _workspace(min(rows, len(counts)), grid.n_points)
     parts = [counts[i : i + rows] for i in range(0, len(counts), rows)]
-    coef = np.concatenate([_sample_coefficients(c, offset, grid, n_max)[0] for c in parts])
+    coef = np.concatenate([_sample_coefficients(c, offset, grid, n_max, work)[0] for c in parts])
     # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
     return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 

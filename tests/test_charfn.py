@@ -22,7 +22,7 @@ from muculants import (
     unwrap_phase,
     validate_pmf,
 )
-from muculants.charfn import MAX_GRID_POINTS, check_charfn_values
+from muculants.charfn import MAX_GRID_POINTS, check_charfn_values, fold_indices
 
 from support import random_pmf
 
@@ -170,6 +170,20 @@ def test_grid_analysis_matches_reference_bit_for_bit():
             for v in (vals, noisy):
                 got = grid_analysis(v, ns)
                 assert got.tobytes() == reference_grid_analysis(v, ns).tobytes()
+
+
+def test_fold_into_a_buffer_matches_the_fresh_fold_bit_for_bit():
+    # a reused buffer must not leak what it held before the fold
+    rng = np.random.default_rng(14)
+    n = 16
+    for shape in ((5,), (4, 9), (3, 2, 40)):
+        for offset in (0, -3, 13, -n - 5, 2 * n + 7):  # 13 + 9 and 40 points wrap
+            coeffs = rng.normal(size=shape)
+            want = fold_indices(coeffs, offset, n)
+            buf = np.full(shape[:-1] + (n,), np.nan)
+            got = fold_indices(coeffs, offset, n, out=buf)
+            assert got is buf
+            assert got.tobytes() == want.tobytes(), (shape, offset)
 
 
 def test_hermitian_check_matches_reference():

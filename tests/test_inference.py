@@ -27,6 +27,7 @@ from muculants.charfn import (
     require_modulus,
     unwrap_phase,
 )
+import muculants.inference as inference
 from muculants.inference import _sample_coefficients, replicate_statistics
 
 
@@ -299,6 +300,76 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     ]
     np.testing.assert_array_equal(keep, want)
     assert keep.any() and not keep.all()
+
+
+def chunk_settings(n_points, rows):
+    """_CHUNK_POINTS values that run ``rows`` replicates one row per chunk,
+    in chunks of the default size, and in one chunk."""
+    return (n_points, inference._CHUNK_POINTS, rows * n_points)
+
+
+@pytest.mark.parametrize(
+    "draw, n_points",
+    [
+        (lambda rng: rng.poisson(3.0, 10_000), 128),
+        (lambda rng: rng.geometric(0.25, 10_000) - 1, 512),
+    ],
+)
+def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
+    x = draw(np.random.default_rng(41))
+    assert grid_for_samples(x, 8).n_points == n_points
+    assert 1000 % (inference._CHUNK_POINTS // n_points) != 0  # the last chunk is partial
+    seen = []
+
+    def recording(*args):
+        seen.append(replicate_statistics(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(inference, "replicate_statistics", recording)
+    results = []
+    for points in chunk_settings(n_points, 1000):
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        results.append(poisson_test(x, seed=3))
+    stats = [s.tobytes() for s in seen]
+    assert len(stats) == 3 and stats[1:] == stats[:-1]
+    assert results[1:] == results[:-1]
+    dropped = np.isnan(seen[0])
+    assert dropped.any() and not dropped.all()  # the chunks move kept rows forward
+
+
+def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
+    grid = FrequencyGrid(128)
+    counts = tied_histograms(np.random.default_rng([7, 128]), 120)
+    keep = _sample_coefficients(counts, 0, grid, 8)[1] >= 1e-3
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    pairs = min(len(kept), len(dropped))
+    assert pairs >= 20
+    alternating = counts[np.column_stack([kept[:pairs], dropped[:pairs]]).ravel()]
+    stats = []
+    for points in chunk_settings(128, len(alternating)):
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        stats.append(replicate_statistics(alternating, 0, grid, (-8, 8)))
+    np.testing.assert_array_equal(np.isnan(stats[0]), np.arange(2 * pairs) % 2 == 1)
+    assert stats[1].tobytes() == stats[0].tobytes() == stats[2].tobytes()
+
+
+def test_replicate_statistics_builds_one_workspace_per_call(monkeypatch):
+    built = []
+    workspace = inference._workspace
+
+    def spy(rows, n):
+        built.append((rows, n))
+        return workspace(rows, n)
+
+    monkeypatch.setattr(inference, "_workspace", spy)
+    pmf = zoo_pmf(Poisson(3.0))
+    counts = np.random.default_rng(43).multinomial(10_000, pmf.probs, size=1000)
+    default_rows = inference._CHUNK_POINTS // 128
+    for points, rows in zip(chunk_settings(128, 1000), (1, default_rows, 1000)):
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        built.clear()
+        replicate_statistics(counts, pmf.offset, FrequencyGrid(128), (-8, 8))
+        assert built == [(rows, 128)]
 
 
 def test_poisson_sample_is_accepted():

@@ -242,6 +242,24 @@ def test_cli_cumulants_from_samples_at_defaults(capsys, tmp_path):
     assert kappa[1] == pytest.approx(xs.var(), abs=1e-9)  # the biased variance
 
 
+def test_cli_cumulants_from_samples_meets_the_tail_guard(capsys, tmp_path):
+    # at n_max 60 the guard wants 60^k_max * max |c[n]| over |n| >= 54 below
+    # 1e-6; sample noise in the outer coefficients often exceeds that
+    p = write_samples(tmp_path / "xs.txt", np.random.default_rng(11).poisson(2.5, 10_000))
+    for k, flags in (("4", ()), ("1", ("--k-max", "1"))):  # the default k_max is 4
+        code, out, err = run_cli(capsys, "cumulants", "--input", p, *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: TruncationUnsafe: n^{k}-weighted tail 3.548e-04 at |n| >= 54 has not settled\n"
+        )
+    p = write_samples(tmp_path / "ys.txt", np.random.default_rng(11).poisson(1.5, 10_000))
+    code, out, err = run_cli(capsys, "cumulants", "--input", p)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: TruncationUnsafe: n^4-weighted tail ")
+    code, out, err = run_cli(capsys, "cumulants", "--input", p, "--k-max", "3")
+    assert (code, err) == (0, "")
+
+
 def test_cli_default_grid_carries_n_max(capsys, tmp_path):
     p = write_samples(tmp_path / "xs.txt", np.random.default_rng(6).poisson(1.5, 10_000))
     code, out, _ = run_cli(capsys, "power-muculants", "--input", p, "--n-max", "90")
