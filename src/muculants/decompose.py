@@ -10,15 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import DEFAULT_GRID_SIZE, FrequencyGrid, complex_log, eval_charfn, support_width
+from .charfn import (
+    DEFAULT_GRID_SIZE,
+    VANISH_TOL,
+    FrequencyGrid,
+    require_modulus,
+    require_resolution,
+    support_width,
+)
 from .errors import PreconditionViolated, SupportTooSmall
 from .pmf import PMF, SignedSequence
-from .transform import (
-    MuculantSeq,
-    complex_muculants,
-    power_muculants,
-    reconstruct_sequence,
-)
+from .transform import MuculantSeq, _log_coefficients, reconstruct_sequence
 
 # A reconstructed component counts as a PMF when it clears these.
 _PMF_NONNEG_TOL = 1e-10
@@ -60,45 +62,37 @@ def _looks_like_pmf(seq: SignedSequence) -> bool:
 def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decomposition:
     """Split ``f`` into minimum-phase and allpass factors.
 
-    Pipeline: charfn -> complex and power coefficients at ``n_max`` ->
-    causal split of the power sequence -> the allpass coefficients are the
-    difference -> both factors reconstructed on the half spectrum (one
-    rfft, one exp over N/2 + 1 points and one irfft each, see
+    Pipeline: the coefficients c[-n_max..n_max] of log Phi from the
+    half-spectrum log kernel -> the power sequence c[n] + c[-n] (ln |Phi|^2
+    = log Phi + conj log Phi) -> its causal split -> the allpass
+    coefficients are the difference -> both factors reconstructed (see
     :func:`reconstruct_sequence`) on a window of twice the input support
     width each way, doubled a few times if mass spills out.
 
     The factors are returned as signed sequences; each is flagged as a PMF
     iff it is nonnegative within 1e-10 and sums to 1 within 1e-8.  A
     minimum-phase input returns itself plus a unit mass at zero; inputs
-    with charfn zeros on the unit circle propagate CharFnVanishes.
+    with charfn zeros on the unit circle raise :class:`CharFnVanishes`.
     """
     if grid is None:
         grid = FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, n_max)
-    cf = eval_charfn(f, grid)
-    logcf = complex_log(cf)
-    total = complex_muculants(logcf, n_max)
-    power = power_muculants(cf, n_max)
-    minphase = minphase_from_power(power)
-    allpass = MuculantSeq(
-        total.n_min,
-        total.n_max,
-        total.values - minphase.values,
-        "complex",
-        max(total.imag_residual, minphase.imag_residual),
-    )
+    require_resolution(f.offset, f.offset + len(f) - 1, grid)
+    coef, min_abs = _log_coefficients(f.probs[None], f.offset, grid, n_max, VANISH_TOL)
+    require_modulus(min_abs, VANISH_TOL)
+    c = coef[0]
+    minphase = minphase_from_power(MuculantSeq(-n_max, n_max, c + c[::-1], "power", 0.0))
+    allpass = MuculantSeq(-n_max, n_max, c - minphase.values, "complex", 0.0)
 
     half = 2 * support_width(f)
-    last_exc: SupportTooSmall | None = None
-    for _ in range(4):
+    for attempt in range(4):
         try:
             minphase_seq = reconstruct_sequence(minphase, (-half, half))
             allpass_seq = reconstruct_sequence(allpass, (-half, half))
             break
-        except SupportTooSmall as exc:
-            last_exc = exc
+        except SupportTooSmall:
+            if attempt == 3:
+                raise  # component genuinely does not decay
             half *= 2
-    else:
-        raise last_exc  # component genuinely does not decay
 
     return Decomposition(
         minphase_muculants=minphase,

@@ -10,17 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import (
-    FrequencyGrid,
-    fold_indices,
-    integer_samples,
-    require_modulus,
-    require_resolution,
-    span_width,
-    unwrap_phase,
-)
+from .charfn import FrequencyGrid, integer_samples, require_modulus, require_resolution, span_width
 from .errors import CharFnVanishes, NegativeSampleValue
-from .transform import MuculantSeq, require_index_range
+from .transform import MuculantSeq, _log_coefficients, _workspace
 
 # Empirical charfn floor: below this the sample spread is too heavy for the
 # sample size and the coefficient estimates are unusable.
@@ -74,14 +66,12 @@ def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
 
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
-    """Coefficient estimates from i.i.d. integer draws.
-
-    The half-spectrum kernel of :func:`replicate_statistics` on one sample:
-    the coefficients are real by construction, so ``imag_residual`` is 0.0.
-    Requires at least 100 samples and, as :func:`eval_charfn` does for
-    PMFs, a grid of at least four points per index of the sample range with
-    the origin included (:class:`GridTooCoarse` otherwise: a coarser grid
-    lets the phase unwrap skip a wrap and return wrong coefficients).
+    """Coefficient estimates from i.i.d. integer draws, by the log kernel
+    of :func:`replicate_statistics` on their histogram (``imag_residual``
+    is 0.0).  Requires at least 100 samples and, as :func:`decompose` does
+    for PMFs, a grid of at least four points per index of the sample range
+    with the origin included (:class:`GridTooCoarse` otherwise: a coarser
+    grid lets the phase unwrap skip a wrap and return wrong coefficients).
     Raises :class:`CharFnVanishes` when the empirical charfn dips below
     1e-3 anywhere on the grid, which happens when the spread of the law is
     heavy relative to the sample size (the estimate would be pure noise
@@ -92,65 +82,27 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
     lo = int(xi.min())
     require_resolution(lo, int(xi.max()), grid)
-    coef, min_abs = _sample_coefficients(np.bincount(xi - lo)[None], lo, grid, n_max)
+    counts = np.bincount(xi - lo)[None]
+    coef, min_abs = _log_coefficients(counts, lo, grid, n_max, EMPIRICAL_FLOOR, histogram=True)
     require_modulus(min_abs, EMPIRICAL_FLOOR)  # the smallest |Phi| is its own modulus
     return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
 
 
-def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """Buffers for :func:`_sample_coefficients` on up to ``rows`` histogram
-    rows over an n-point grid: the folded histograms, then |Phi|, its
-    principal phase and the log over the N/2 + 1 points mu = 0..pi."""
-    half = (rows, n // 2 + 1)
-    return np.empty((rows, n)), np.empty(half), np.empty(half), np.empty(half, dtype=complex)
-
-
-def _sample_coefficients(counts, offset: int, grid: FrequencyGrid, n_max: int, work=None):
-    """Coefficients c[-n_max..n_max] of the empirical log charfn of each
-    histogram row of ``counts`` (NaN in rows below the 1e-3 floor), and
-    each row's smallest |Phi|.
-
-    Phi is Hermitian, so mu in [0, pi] carries it all: one rfft of the
-    folded histogram gives conj(Phi) there, whose log, with the phase
-    unwrapped from mu = 0, is what one irfft per row turns into the real
-    coefficients.  The irfft keeps only the real part at pi, so the phase
-    there counts as the jump midpoint 0, as in :func:`complex_log`.
-
-    The folded histograms, |Phi|, the phase and the log are written into
-    ``work``, a :func:`_workspace` of at least ``len(counts)`` rows (one is
-    built when none is given); the kept rows are moved to the front of the
-    same buffers.
-    """
-    n = grid.n_points
-    require_index_range(n, n_max)
-    rows = len(counts)
-    if work is None:
-        work = _workspace(rows, n)
-    folded, mods, phase, log = (b[:rows] for b in work)
-    fold_indices(counts / counts.sum(axis=-1, keepdims=True), offset, n, out=folded)
-    spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
-    spec[:, 0] = 1.0  # exact by construction
-    min_abs = np.abs(spec, out=mods).min(axis=-1)
-    keep = min_abs >= EMPIRICAL_FLOOR
-    coef = np.full((rows, 2 * n_max + 1), np.nan)
-    k = int(np.count_nonzero(keep))
-    if k:
-        if k < rows:
-            spec[:k] = spec[keep]
-            mods[:k] = mods[keep]
-        spec, mods, phase, log = spec[:k], mods[:k], phase[:k], log[:k]
-        np.arctan2(spec.imag, spec.real, out=phase)
-        np.log(mods, out=log.real)
-        log.imag = unwrap_phase(phase)
-        cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
-        coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
-    return coef, min_abs
-
-
-def _window_mask(ns: np.ndarray, window) -> np.ndarray:
-    lo, hi = int(window[0]), int(window[1])
+def _window_mask(window, ns=None) -> np.ndarray:
+    """Mask of the window's usable indices among ``ns`` (default -n..n,
+    n = max(|lo|, |hi|, 1), the range the bootstrap computes).  ValueError
+    unless the bounds are integers, lo <= hi, the window lies inside ``ns``
+    and it holds an index other than 0 and 1: nothing is truncated."""
+    lo, hi = window
+    if not all(isinstance(b, (int, np.integer)) for b in (lo, hi)):
+        raise ValueError(f"window bounds must be integers, got ({lo!r}, {hi!r})")
     if lo > hi:
         raise ValueError("window range is empty")
+    if ns is None:
+        n = max(abs(lo), abs(hi), 1)
+        ns = np.arange(-n, n + 1)
+    if lo < ns[0] or hi > ns[-1]:
+        raise ValueError(f"window {lo}:{hi} reaches past the computed indices {ns[0]}:{ns[-1]}")
     mask = (ns >= lo) & (ns <= hi) & (ns != _POISSON_INDICES[0]) & (ns != _POISSON_INDICES[1])
     if not mask.any():
         raise ValueError("window contains no usable indices")
@@ -160,9 +112,10 @@ def _window_mask(ns: np.ndarray, window) -> np.ndarray:
 def poisson_statistic(seq: MuculantSeq, window) -> float:
     """Sum of squared coefficients over the window, indices 0 and 1 excluded.
 
-    Monotone in the window: enlarging it can only add nonnegative terms.
+    Monotone in the window: enlarging it can only add nonnegative terms.  A
+    window reaching past the computed indices raises ValueError.
     """
-    mask = _window_mask(seq.indices, window)
+    mask = _window_mask(window, seq.indices)
     return float(np.sum(seq.values[mask] ** 2))
 
 
@@ -180,12 +133,17 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=-1) < MIN_SAMPLE_SIZE):
         raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples per replicate")
-    n_max = max(abs(int(window[0])), abs(int(window[1])), 1)
-    mask = _window_mask(np.arange(-n_max, n_max + 1), window)
+    mask = _window_mask(window)
+    n_max = len(mask) // 2
     rows = max(1, _CHUNK_POINTS // grid.n_points)
     work = _workspace(min(rows, len(counts)), grid.n_points)
     parts = [counts[i : i + rows] for i in range(0, len(counts), rows)]
-    coef = np.concatenate([_sample_coefficients(c, offset, grid, n_max, work)[0] for c in parts])
+    coef = np.concatenate(
+        [
+            _log_coefficients(c, offset, grid, n_max, EMPIRICAL_FLOOR, work, histogram=True)[0]
+            for c in parts
+        ]
+    )
     # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
     return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 
@@ -235,16 +193,14 @@ def poisson_test(
     ``np.random.default_rng(seed)`` over the Poisson(lambda_hat) pmf (each
     tail lighter than 1e-16 lumped into its end cell), and run through
     :func:`replicate_statistics`.  Results are bit-for-bit reproducible for
-    a given seed.  Versions that drew each replicate's variates one by one
-    gave different thresholds and p-values for the same seed; ``statistic``
-    and ``lambda_hat`` are unchanged.  Replicates whose empirical charfn
-    dips below the 1e-3 floor admit no estimate and are dropped from the
-    calibration (the observed-data statistic still propagates
-    :class:`CharFnVanishes`); ``n_bootstrap_used`` records how many
-    replicates entered.
+    a given seed.  Replicates whose empirical charfn dips below the 1e-3
+    floor admit no estimate and are dropped from the calibration (the
+    observed-data statistic still propagates :class:`CharFnVanishes`);
+    ``n_bootstrap_used`` records how many replicates entered.
 
     Exit states: errors for negative or non-integer samples, fewer than
-    100 observations, or an uninformative window.
+    100 observations, or a window with non-integer bounds, no range or no
+    index other than 0 and 1.
     """
     xi = integer_samples(samples)
     if np.min(xi) < 0:
@@ -253,16 +209,15 @@ def poisson_test(
         raise ValueError("alpha must lie in (0, 1)")
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be positive")
-    lo, hi = int(window[0]), int(window[1])
-    n_max = max(abs(lo), abs(hi), 1)
+    n_max = len(_window_mask(window)) // 2
 
     grid = grid_for_samples(xi, n_max)
-    stat = poisson_statistic(estimate_muculants(xi, grid, n_max), (lo, hi))
+    stat = poisson_statistic(estimate_muculants(xi, grid, n_max), window)
     lam_hat = float(xi.mean())
 
     offset, pmf = _poisson_pmf(lam_hat)
     counts = np.random.default_rng(seed).multinomial(xi.size, pmf, size=n_bootstrap)
-    replicate_stats = replicate_statistics(counts, offset, grid, (lo, hi))
+    replicate_stats = replicate_statistics(counts, offset, grid, window)
     arr = replicate_stats[~np.isnan(replicate_stats)]  # see docstring
     if arr.size == 0:
         raise CharFnVanishes("no bootstrap replicate admitted coefficient estimates")
@@ -275,7 +230,7 @@ def poisson_test(
         threshold=threshold,
         p_value=p_value,
         reject=bool(stat > threshold),
-        window=(lo, hi),
+        window=(int(window[0]), int(window[1])),
         n_bootstrap=int(n_bootstrap),
         seed=int(seed),
         n_bootstrap_used=int(arr.size),

@@ -15,12 +15,12 @@ from .charfn import (
     CharFnSamples,
     FrequencyGrid,
     LogCharFnSamples,
-    eval_charfn,
     fold_indices,
     grid_analysis,
     require_modulus,
     span_width,
     support_width,
+    unwrap_phase,
 )
 from .errors import (
     ImagResidualTooLarge,
@@ -142,12 +142,8 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     contribution (one ``np.convolve`` over the last L - 1 of them) and
     multiplies by that inverse.  One step of iterative refinement follows
     (the residual against the block's own Toeplitz matrix, times the
-    inverse again): h carries rounding error relative to |a| |h|, and
-    where a = f/f[0] runs large the bare product loses digits that
-    forward substitution keeps (NegativeBinomial(8, 0.8), whose a peaks
-    near 1.3e4, is off by 1.2e-6 at n_max = 200 without it, by 7e-11 with
-    it and by 5e-11 by the per-index loop).  That is about n_max/64 + 64
-    numpy steps instead of one per index.
+    inverse again), as h carries rounding error relative to |a| |h| and
+    the bare product loses digits where a = f/f[0] runs large.
 
     No transform, no grid, no phase unwrap; this is the independent route
     used to cross-check the spectral pipeline.  The recursion sums the
@@ -158,8 +154,8 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
       leading probability vanishes, or :func:`is_minimum_phase` is False;
     - :class:`CharFnVanishes` when |Phi| dips below the 1e-8 floor on the
       smallest grid that resolves the support (the coefficients are then
-      not numerically defined, as on every other route).  Only this guard
-      looks at a grid.
+      not numerically defined, as on every other route), read off one
+      rfft of the folded PMF.  Only this guard looks at a grid.
     """
     if f.offset != 0:
         raise NotApplicable("support must start at zero")
@@ -170,7 +166,8 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
         raise ValueError("n_max must be nonnegative")
     if not is_minimum_phase(f):
         raise NotApplicable("PMF is not minimum phase")
-    require_modulus(eval_charfn(f, FrequencyGrid.for_width(support_width(f))).values, VANISH_TOL)
+    n = FrequencyGrid.for_width(support_width(f)).n_points
+    require_modulus(np.fft.rfft(fold_indices(f.probs, 0, n)), VANISH_TOL)  # |Phi| on mu = 0..pi
     taps = len(f) - 1
     block = min(_BLOCK, n_max + 1)
     a = np.zeros(n_max + block + taps + 1)  # zero-padded past the support
@@ -195,6 +192,58 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     vals[0] = np.log(p0)
     vals[1:] = w[1:] / np.arange(1, n_max + 1)
     return MuculantSeq(0, n_max, vals, "complex", 0.0)
+
+
+def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_log_coefficients` on up to ``rows`` rows over an
+    n-point grid: the folded weights, then |Phi|, its principal phase and
+    the log over the N/2 + 1 points mu = 0..pi."""
+    half = (rows, n // 2 + 1)
+    return np.empty((rows, n)), np.empty(half), np.empty(half), np.empty(half, dtype=complex)
+
+
+def _log_coefficients(weights, offset, grid, n_max, floor, work=None, *, histogram=False):
+    """Coefficients c[-n_max..n_max] of log Phi for each row of ``weights``
+    (NaN in rows whose |Phi| dips below ``floor``), and each row's smallest
+    |Phi|.  Row r weighs ``offset``, ``offset + 1``, ...: PMF probabilities
+    as they are, or with ``histogram`` counts of draws, divided by their row
+    sum and with Phi(0) set to exactly 1.
+
+    Phi is Hermitian, so one rfft of the folded weights gives conj(Phi) on
+    mu in [0, pi]; its log, the phase unwrapped from mu = 0, goes through
+    one irfft per row.  The irfft keeps only the real part at pi, so the
+    phase there counts as the jump midpoint 0, as in :func:`complex_log`.
+    The buffers are ``work``, a :func:`_workspace` of at least
+    ``len(weights)`` rows (built when not given); kept rows move to the
+    front of them.
+    """
+    n = grid.n_points
+    require_index_range(n, n_max)
+    rows = len(weights)
+    if work is None:
+        work = _workspace(rows, n)
+    folded, mods, phase, log = (b[:rows] for b in work)
+    if histogram:
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+    fold_indices(weights, offset, n, out=folded)
+    spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
+    if histogram:
+        spec[:, 0] = 1.0  # exact by construction
+    min_abs = np.abs(spec, out=mods).min(axis=-1)
+    keep = min_abs >= floor
+    coef = np.full((rows, 2 * n_max + 1), np.nan)
+    k = int(np.count_nonzero(keep))
+    if k:
+        if k < rows:
+            spec[:k] = spec[keep]
+            mods[:k] = mods[keep]
+        spec, mods, phase, log = spec[:k], mods[:k], phase[:k], log[:k]
+        np.arctan2(spec.imag, spec.real, out=phase)
+        np.log(mods, out=log.real)
+        log.imag = unwrap_phase(phase)
+        cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
+        coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
+    return coef, min_abs
 
 
 def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:

@@ -3,20 +3,32 @@ import pytest
 
 from muculants import (
     Bernoulli,
+    Binomial,
+    CharFnVanishes,
+    Degenerate,
     FrequencyGrid,
     Geometric,
+    GridTooCoarse,
     MuculantSeq,
+    NegativeBinomial,
+    Poisson,
     PreconditionViolated,
     SupportTooSmall,
     allpass_sum,
+    complex_log,
+    complex_muculants,
     decompose,
     eval_charfn,
     minphase_from_power,
     power_muculants,
+    reconstruct_sequence,
     recursive_minphase_muculants,
+    support_width,
     validate_pmf,
+    zoo_muculants,
     zoo_pmf,
 )
+from muculants.transform import _log_coefficients
 
 
 def mirrored(f):
@@ -114,3 +126,131 @@ def test_pure_shift_has_trivial_modulus_factor():
     f = validate_pmf(5, [1.0])
     p = power_muculants(eval_charfn(f, FrequencyGrid(64)), 10)
     np.testing.assert_allclose(minphase_from_power(p).values, 0.0, atol=1e-13)
+
+
+# ------------------------------------------------- against the full grid
+
+
+def reference_decompose(f, n_max, grid=None):
+    """The full-grid route decompose took before the half-spectrum kernel:
+    N-point synthesis, complex log, complex and power analyses (two logs,
+    two N-point FFTs), then the same split and reconstruction loop.
+    Returns the minimum-phase and allpass coefficients and sequences."""
+    if grid is None:
+        grid = FrequencyGrid.for_width(support_width(f), 4096, n_max)
+    cf = eval_charfn(f, grid)
+    total = complex_muculants(complex_log(cf), n_max)
+    minphase = minphase_from_power(power_muculants(cf, n_max))
+    resid = max(total.imag_residual, minphase.imag_residual)
+    allpass = MuculantSeq(-n_max, n_max, total.values - minphase.values, "complex", resid)
+    half = 2 * support_width(f)
+    for attempt in range(4):
+        try:
+            seqs = [reconstruct_sequence(s, (-half, half)) for s in (minphase, allpass)]
+            return minphase, allpass, seqs
+        except SupportTooSmall:
+            if attempt == 3:
+                raise
+            half *= 2
+
+
+ZOO_SWEEP = (
+    Poisson(0.5),
+    Poisson(2.0),
+    Poisson(4.0),
+    Geometric(0.2),
+    Geometric(0.5),
+    Geometric(0.01),
+    NegativeBinomial(2, 0.3),
+    NegativeBinomial(5, 0.6),
+    Binomial(5, 0.2),
+    Binomial(5, 0.8),
+    Bernoulli(0.3),
+    Bernoulli(0.7),
+    Degenerate(3),
+)
+
+
+def sweep_laws(specs):
+    """Each law as it is, mirrored (anti-causal), and shifted both ways
+    (a linear phase: the charfn winds around the origin)."""
+    for spec in specs:
+        f = zoo_pmf(spec)
+        yield repr(spec), f
+        yield f"mirrored {spec!r}", mirrored(f)
+        for k in (4, -3):
+            yield f"{spec!r} + {k}", validate_pmf(f.offset + k, f.probs)
+
+
+def outcome(route, *args, **kw):
+    try:
+        return route(*args, **kw)
+    except (SupportTooSmall, CharFnVanishes, GridTooCoarse) as exc:
+        return type(exc)
+
+
+def test_decompose_matches_the_full_grid_reference_over_the_zoo():
+    """Coefficients within 1e-14 of the full-grid route (relative to the
+    largest coefficient where that exceeds one), rebuilt sequences within
+    1e-12, and the same refusals."""
+    seen = set()
+    for name, f in sweep_laws(ZOO_SWEEP):
+        for n_max in (20, 100):
+            for grid in (None, FrequencyGrid(1024)):
+                got = outcome(decompose, f, n_max, grid=grid)
+                want = outcome(reference_decompose, f, n_max, grid)
+                if isinstance(want, type):
+                    assert got is want, (name, n_max, grid)
+                    seen.add(want.__name__)
+                    continue
+                minphase, allpass, seqs = want
+                case = (name, n_max, grid)
+                for a, b in ((got.minphase_muculants, minphase), (got.allpass_muculants, allpass)):
+                    scale = max(1.0, float(np.max(np.abs(b.values))))
+                    assert np.max(np.abs(a.values - b.values)) <= 1e-14 * scale, case
+                    assert a.imag_residual == 0.0
+                for a, b in zip((got.minphase_seq, got.allpass_seq), seqs):
+                    assert a.offset == b.offset and len(a) == len(b), case
+                    assert np.max(np.abs(a.values - b.values)) <= 1e-12, case
+                seen.add("returned")
+    assert seen == {"returned", "SupportTooSmall", "GridTooCoarse"}
+
+
+@pytest.mark.parametrize("n_max", [20, 100])
+def test_decompose_near_the_floor_is_closer_to_the_closed_form_than_the_full_grid(n_max):
+    # |Phi| of Binomial(10, 0.4) reaches 0.2^10 = 1e-7 at pi: the full-grid
+    # route carries an imaginary residue near 1e-11 there and moves by that
+    # much; the half spectrum lands nearer the closed form
+    spec = Binomial(10, 0.4)
+    want = zoo_muculants(spec, (-n_max, n_max)).values
+    for grid in (None, FrequencyGrid(1024)):
+        d = decompose(zoo_pmf(spec), n_max, grid=grid)
+        minphase, allpass, _ = reference_decompose(zoo_pmf(spec), n_max, grid)
+        got = d.minphase_muculants.values + d.allpass_muculants.values
+        gap = np.max(np.abs(got - want))
+        assert gap < 1e-11
+        assert gap <= np.max(np.abs(minphase.values + allpass.values - want))
+
+
+def test_decompose_splits_one_kernel_call():
+    # ln |Phi|^2 = log Phi + conj log Phi: the power sequence is c[n] + c[-n]
+    f = mirrored(zoo_pmf(NegativeBinomial(2, 0.3)))
+    grid = FrequencyGrid.for_width(support_width(f), 4096, 40)
+    c = _log_coefficients(f.probs[None], f.offset, grid, 40, 1e-8)[0][0]
+    d = decompose(f, 40)
+    minphase = d.minphase_muculants.values
+    np.testing.assert_array_equal(minphase[41:], c[41:] + c[39::-1])
+    assert minphase[40] == c[40] and not minphase[:40].any()
+    np.testing.assert_array_equal(d.allpass_muculants.values, c - minphase)
+
+
+def test_decompose_refusals():
+    with pytest.raises(CharFnVanishes, match="below the 1e-08 floor"):
+        decompose(validate_pmf(0, [0.5, 0.5]), 20)
+    f = zoo_pmf(Geometric(0.01))  # 2750 probabilities need 11,004 points
+    with pytest.raises(GridTooCoarse):
+        decompose(f, 20, grid=FrequencyGrid(8192))
+    g = zoo_pmf(Geometric(0.5))
+    for n_max in (0, 257):
+        with pytest.raises(ValueError, match="n_max must be in 1..256 for this grid"):
+            decompose(g, n_max, grid=FrequencyGrid(1024))

@@ -94,14 +94,15 @@ class _Seen(Exception):
     """Raised by a spy once it has recorded the grid a route chose."""
 
 
-def spy_grid(monkeypatch, module, name):
+def spy_grid(monkeypatch, module, name, position=1):
     """Replace ``module.name`` by a spy that stops the route there; the
     returned function runs a call and gives the grid size the spy saw (the
-    second positional argument of the replaced function: a grid, or the
-    number of its points)."""
+    positional argument at ``position`` of the replaced function: a grid, or
+    the number of its points)."""
     seen = []
 
-    def spy(_first, grid, *rest, **kw):
+    def spy(*args, **kw):
+        grid = args[position]
         seen.append(getattr(grid, "n_points", grid))
         raise _Seen
 
@@ -142,7 +143,8 @@ def test_poisson_test_grid_is_the_old_rule_with_its_bump(monkeypatch):
 def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
     # The old PMF rule ignored n_max, so it failed the N/4 guard whenever
     # 4 * n_max outgrew it; the new one grows the grid just enough instead.
-    grid_of = spy_grid(monkeypatch, decompose_module, "eval_charfn")
+    # the grid size the half-spectrum kernel receives from decompose
+    grid_of = spy_grid(monkeypatch, decompose_module, "_log_coefficients", position=2)
     pmfs = {w: validate_pmf(0, np.full(w, 1.0 / w)) for w in WIDTHS}
     for w, n_max in SWEEP:
         old = old_pmf_grid(w)

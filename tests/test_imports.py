@@ -10,7 +10,12 @@ No linter ships with the test dependencies, so these are small stdlib-only
   ``pmf.frozen_vector``, the validator every dataclass array field uses;
 - no root finder: nothing calls ``roots(`` (``np.roots`` is O(L^3) and took
   21 ms on a 124-long PMF; the zero test is a step-down, and the tests keep
-  ``np.roots`` as its reference).
+  ``np.roots`` as its reference);
+- the full-grid staged functions serve the CLI only: ``eval_charfn``,
+  ``empirical_charfn``, ``complex_log``, ``complex_muculants`` and
+  ``power_muculants`` are called nowhere in the package outside ``cli.py``
+  (they take caller-supplied samples; every internal route runs the
+  half-spectrum log kernel in ``transform``).
 """
 
 import ast
@@ -103,3 +108,37 @@ def test_checker_finds_roots_calls():
 def test_no_root_finder_in_the_package():
     calls = {p.name: roots_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+STAGED = ("eval_charfn", "empirical_charfn", "complex_log", "complex_muculants", "power_muculants")
+
+
+def staged_calls(source: str) -> list[str]:
+    """``line: name`` of each call to a full-grid staged function, bare or
+    dotted; their definitions are not calls."""
+    return [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in STAGED
+    ]
+
+
+def test_checker_finds_staged_calls():
+    source = (
+        "def complex_log(cf):\n    return cf\n"
+        "x = complex_log(eval_charfn(f, g))\n"
+        "y = charfn.empirical_charfn(s, g)\n"
+        "z = power_muculants\n"
+    )
+    assert sorted(staged_calls(source)) == [
+        "3: complex_log",
+        "3: eval_charfn",
+        "4: empirical_charfn",
+    ]
+    assert staged_calls("complex_logs(x)\nself.eval_charfn\n") == []
+
+
+def test_staged_functions_serve_only_the_cli():
+    calls = {p.name: staged_calls(p.read_text()) for p in MODULES if p.name != "cli.py"}
+    assert {name: c for name, c in calls.items() if c} == {}

@@ -37,7 +37,8 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
-from muculants.charfn import span_width
+from muculants.charfn import fold_indices, span_width
+from muculants.transform import _log_coefficients
 
 from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf
 
@@ -157,6 +158,51 @@ def test_power_route_needs_nonvanishing_modulus():
     f = validate_pmf(0, [0.5, 0.5])
     with pytest.raises(CharFnVanishes):
         power_muculants(eval_charfn(f, FrequencyGrid(64)), 5)
+
+
+# ----------------------------------------------------- half-spectrum log kernel
+
+
+def test_log_kernel_takes_a_pmf_as_it_is():
+    # a mass deficit stays in the coefficients, as on the full grid: scaling
+    # the PMF to total mass one moves c[0] by the log of that mass
+    f = validate_pmf(-1, [0.3, 0.3, 0.3999995])
+    assert f.tail_mass_bound > 0.0
+    grid = FrequencyGrid(64)
+    got = _log_coefficients(f.probs[None], f.offset, grid, 8, 1e-8)[0][0]
+    want = complex_muculants(complex_log(eval_charfn(f, grid)), 8).values
+    assert np.max(np.abs(got - want)) <= 1e-15
+    scaled = _log_coefficients(f.probs[None] / f.total_mass, f.offset, grid, 8, 1e-8)[0][0]
+    assert got[8] - scaled[8] == pytest.approx(math.log(f.total_mass), rel=1e-9)
+    np.testing.assert_allclose(np.delete(got - scaled, 8), 0.0, atol=1e-15)
+
+
+def test_log_kernel_pins_phi_at_zero_only_for_histograms(monkeypatch):
+    counts = np.full((1, 17), 7)
+    freqs = counts / counts.sum()
+    grid = FrequencyGrid(64)
+    assert np.fft.rfft(fold_indices(freqs, 0, 64))[0, 0] != 1.0  # the pin changes a bit here
+    logs = []
+    irfft = np.fft.irfft
+
+    def spy(a, n):
+        logs.append(a[0, 0])
+        return irfft(a, n)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    _log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)
+    _log_coefficients(freqs, 0, grid, 8, 1e-3)
+    assert logs[0] == 0.0  # log 1
+    assert logs[1] == np.log(np.abs(np.fft.rfft(fold_indices(freqs, 0, 64))[0, 0])) != 0.0
+
+
+def test_log_kernel_refuses_rows_below_its_floor():
+    f = zoo_pmf(Binomial(10, 0.4))  # |Phi(pi)| = 0.2^10
+    grid = FrequencyGrid(4096)
+    for floor, kept in ((1e-8, True), (1e-6, False)):
+        coef, min_abs = _log_coefficients(f.probs[None], 0, grid, 8, floor)
+        assert min_abs[0] == pytest.approx(0.2**10, rel=1e-9)
+        assert np.isfinite(coef).all() == kept and np.isnan(coef).all() != kept
 
 
 # --------------------------------------------------------------- recursion
