@@ -74,6 +74,12 @@ def support_width(f: PMF) -> int:
     return span_width(f.offset, f.offset + len(f) - 1)
 
 
+def grid_for_pmf(f: PMF, n_max: int = 0) -> FrequencyGrid:
+    """Default grid for an exact PMF: at least 4096 points, four per index
+    of its support width and four per coefficient index up to ``n_max``."""
+    return FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, n_max)
+
+
 def require_resolution(lo: int, hi: int, grid: FrequencyGrid) -> None:
     """Raise :class:`GridTooCoarse` unless the grid has at least
     ``4 * span_width(lo, hi)`` points.

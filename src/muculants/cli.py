@@ -9,17 +9,22 @@ import sys
 
 from . import __version__
 from .charfn import (
-    DEFAULT_GRID_SIZE,
     FrequencyGrid,
     complex_log,
     empirical_charfn,
     eval_charfn,
+    grid_for_pmf,
     require_modulus,
-    support_width,
 )
 from .decompose import decompose
 from .errors import MuculantError
-from .inference import EMPIRICAL_FLOOR, estimate_muculants, grid_for_samples, poisson_test
+from .inference import (
+    EMPIRICAL_FLOOR,
+    estimate_muculants,
+    grid_for_samples,
+    poisson_test,
+    require_sample_size,
+)
 from .io import (
     cumulants_to_dict,
     decomposition_to_dict,
@@ -53,39 +58,45 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
         raise ValueError(f"{flag} expects integer bounds, got {text!r}") from None
 
 
-def _require_one_source(args) -> None:
+# The refusal of a --input kind a command cannot use; the others take PMFs and samples.
+_WRONG_KIND = {
+    "reconstruct": "reconstruct needs a muculant JSON input or --dist",
+    "decompose": "decompose needs a PMF input (.json) or --dist",
+}
+
+
+def _load_source(args, *accept):
+    """(kind, value) from exactly one of ``--dist`` ('spec' where accepted,
+    else 'pmf') and ``--input`` ('pmf' or 'muculants' from .json, 'samples'
+    from .txt); ValueError for a kind not in ``accept``."""
     if (args.input is None) == (args.dist is None):
         raise ValueError("exactly one of --input and --dist is required")
-
-
-def _load_source(args):
-    """Returns one of ('pmf', PMF), ('samples', array), ('muculants', seq)."""
-    _require_one_source(args)
     if args.dist is not None:
-        return "pmf", zoo_pmf(parse_spec(args.dist))
+        spec = parse_spec(args.dist)
+        return ("spec", spec) if "spec" in accept else ("pmf", zoo_pmf(spec))
     path = args.input
-    if path.endswith(".json"):
-        payload = read_json(path)
-        if "probs" in payload:
-            return "pmf", pmf_from_dict(payload)
-        if "kind" in payload:
-            return "muculants", muculants_from_dict(payload)
-        raise ValueError(f"{path}: JSON object is neither a PMF nor a muculant sequence")
     if path.endswith(".txt"):
-        return "samples", read_samples(path)
-    raise ValueError(f"{path}: unknown input extension (expected .json or .txt)")
+        kind, value = "samples", read_samples(path)
+    elif not path.endswith(".json"):
+        raise ValueError(f"{path}: unknown input extension (expected .json or .txt)")
+    elif "probs" in (payload := read_json(path)):
+        kind, value = "pmf", pmf_from_dict(payload)
+    elif "kind" in payload:
+        kind, value = "muculants", muculants_from_dict(payload)
+    else:
+        raise ValueError(f"{path}: JSON object is neither a PMF nor a muculant sequence")
+    if kind not in accept:
+        raise ValueError(
+            _WRONG_KIND.get(args.command, "input already holds muculants; nothing to compute")
+        )
+    return kind, value
 
 
-def _pmf_grid(args, f) -> FrequencyGrid:
+def _grid(args, data, default_rule) -> FrequencyGrid:
+    """``--grid`` when given, else the library's ``default_rule(data, n_max)``."""
     if args.grid is not None:
         return FrequencyGrid(args.grid)
-    return FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, args.n_max)
-
-
-def _sample_grid(args, samples) -> FrequencyGrid:
-    if args.grid is not None:
-        return FrequencyGrid(args.grid)
-    return grid_for_samples(samples, args.n_max)
+    return default_rule(data, args.n_max)
 
 
 def _render(args, payload: dict, rows=None) -> None:
@@ -103,75 +114,62 @@ def _print_muculants(args, seq) -> None:
     _render(args, muculants_to_dict(seq), ("n", seq.indices, seq.values))
 
 
-def _complex_seq_from_source(args) -> "object":
-    kind, obj = _load_source(args)
-    if kind == "muculants":
-        raise ValueError("input already holds muculants; nothing to compute")
+def _complex_seq(args, kind, value):
     if kind == "pmf":
-        cf = eval_charfn(obj, _pmf_grid(args, obj))
+        cf = eval_charfn(value, _grid(args, value, grid_for_pmf))
         return complex_muculants(complex_log(cf), args.n_max)
-    return estimate_muculants(obj, _sample_grid(args, obj), args.n_max)
+    return estimate_muculants(value, _grid(args, value, grid_for_samples), args.n_max)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_muculants(args) -> int:
-    _print_muculants(args, _complex_seq_from_source(args))
+    _print_muculants(args, _complex_seq(args, *_load_source(args, "pmf", "samples")))
     return 0
 
 
 def _cmd_power_muculants(args) -> int:
-    kind, obj = _load_source(args)
-    if kind == "muculants":
-        raise ValueError("input already holds muculants; nothing to compute")
+    kind, value = _load_source(args, "pmf", "samples")
     if kind == "pmf":
-        cf = eval_charfn(obj, _pmf_grid(args, obj))
+        cf = eval_charfn(value, _grid(args, value, grid_for_pmf))
     else:
-        cf = empirical_charfn(obj, _sample_grid(args, obj))
+        grid = _grid(args, value, grid_for_samples)
+        require_sample_size(len(value))
+        cf = empirical_charfn(value, grid)
         require_modulus(cf.values, EMPIRICAL_FLOOR)
     _print_muculants(args, power_muculants(cf, args.n_max))
     return 0
 
 
 def _cmd_cumulants(args) -> int:
-    _require_one_source(args)
-    if args.dist is not None:
-        kv = zoo_cumulants(parse_spec(args.dist), args.k_max)
+    kind, value = _load_source(args, "spec", "pmf", "samples")
+    if kind == "spec":
+        kv = zoo_cumulants(value, args.k_max)
     else:
-        kv = cumulants_from_muculants(_complex_seq_from_source(args), args.k_max)
+        kv = cumulants_from_muculants(_complex_seq(args, kind, value), args.k_max)
     _render(args, cumulants_to_dict(kv), ("k", range(1, len(kv.values) + 1), kv.values))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    _require_one_source(args)
-    if args.dist is not None:
-        seq = zoo_muculants(parse_spec(args.dist), (-args.n_max, args.n_max))
-    else:
-        kind, obj = _load_source(args)
-        if kind != "muculants":
-            raise ValueError("reconstruct needs a muculant JSON input or --dist")
-        seq = obj
-    lo, hi = _parse_range(args.support, "--support")
-    out = reconstruct_sequence(seq, (lo, hi))
+    kind, seq = _load_source(args, "spec", "muculants")
+    if kind == "spec":
+        seq = zoo_muculants(seq, (-args.n_max, args.n_max))
+    out = reconstruct_sequence(seq, _parse_range(args.support, "--support"))
     _render(args, sequence_to_dict(out), ("xi", out.support, out.values))
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    kind, obj = _load_source(args)
-    if kind != "pmf":
-        raise ValueError("decompose needs a PMF input (.json) or --dist")
-    grid = FrequencyGrid(args.grid) if args.grid is not None else None
-    d = decompose(obj, args.n_max, grid=grid)
+    _, f = _load_source(args, "pmf")
+    d = decompose(f, args.n_max, grid=_grid(args, f, grid_for_pmf))
     _render(args, decomposition_to_dict(d))
     return 0
 
 
 def _cmd_zoo(args) -> int:
-    seq = zoo_muculants(parse_spec(args.dist), (-args.n_max, args.n_max))
-    _print_muculants(args, seq)
+    _print_muculants(args, zoo_muculants(parse_spec(args.dist), (-args.n_max, args.n_max)))
     return 0
 
 
@@ -181,11 +179,7 @@ def _cmd_poisson_test(args) -> int:
     samples = read_samples(args.input)
     window = _parse_range(args.window, "--window")
     result = poisson_test(
-        samples,
-        alpha=args.alpha,
-        window=window,
-        n_bootstrap=args.bootstrap,
-        seed=args.seed,
+        samples, alpha=args.alpha, window=window, n_bootstrap=args.bootstrap, seed=args.seed
     )
     _render(args, test_result_to_dict(result))
     return 3 if result.reject else 0
@@ -194,28 +188,31 @@ def _cmd_poisson_test(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+_PMF_OR_SAMPLES = "PMF JSON (.json) or sample file (.txt)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muculants",
-        description="Log-characteristic-function coefficients of integer-valued "
-        "distributions: computation, reconstruction, decomposition, and a "
-        "Poissonity test.",
+        description="Log-characteristic-function coefficients of integer-valued distributions: "
+        "computation, reconstruction, decomposition, and a Poissonity test.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, handler, help_text, *, source=True, grid=True, n_max=None):
+    def add(name, handler, help_text, *, reads=_PMF_OR_SAMPLES, dist=True, grid=True, n_max=20):
+        """A subcommand; ``reads`` is the help of ``--input`` (None: no
+        ``--input``), a command with one source flag requires it, and
+        ``n_max=None`` leaves out ``--n-max``."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--output", choices=("json", "csv"), default="json", help="output rendering"
-        )
-        if source:
+        p.add_argument("--output", choices=("json", "csv"), default="json", help="output rendering")
+        only = reads is None or not dist
+        if reads is not None:
+            p.add_argument("--input", required=only, metavar="PATH", help=reads)
+        if dist:
             p.add_argument(
-                "--input", metavar="PATH", help="PMF JSON (.json) or sample file (.txt)"
-            )
-            p.add_argument(
-                "--dist", metavar="SPEC", help='family spec, e.g. "poisson:lambda=2"'
+                "--dist", required=only, metavar="SPEC", help='family spec, e.g. "poisson:lambda=2"'
             )
         if grid:
             p.add_argument(
@@ -234,13 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add("muculants", _cmd_muculants, "complex coefficients of log charfn", n_max=20)
-    add(
-        "power-muculants",
-        _cmd_power_muculants,
-        "coefficients of the log squared charfn modulus",
-        n_max=20,
-    )
+    add("muculants", _cmd_muculants, "complex coefficients of log charfn")
+    add("power-muculants", _cmd_power_muculants, "coefficients of the log squared charfn modulus")
     p = add(
         "cumulants",
         _cmd_cumulants,
@@ -253,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruct",
         _cmd_reconstruct,
         "probability sequence from a coefficient sequence",
+        reads="muculant JSON (.json)",
         grid=False,
-        n_max=20,
     )
     p.add_argument(
         "--support",
@@ -267,28 +259,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "decompose",
         _cmd_decompose,
         "minimum-phase / allpass factorization of a PMF",
+        reads="PMF JSON (.json)",
         n_max=100,
     )
+    add("zoo", _cmd_zoo, "closed-form coefficients for a named family", reads=None, grid=False)
 
-    p = sub.add_parser(
-        "zoo",
-        help="closed-form coefficients for a named family",
-        description="closed-form coefficients for a named family",
-    )
-    p.set_defaults(handler=_cmd_zoo)
-    p.add_argument("--output", choices=("json", "csv"), default="json", help="output rendering")
-    p.add_argument("--dist", required=True, metavar="SPEC", help='family spec, e.g. "geometric:p=0.5"')
-    p.add_argument("--n-max", type=int, default=20, metavar="M", help="largest index (default 20)")
-
-    p = sub.add_parser(
+    p = add(
         "poisson-test",
-        help="parametric-bootstrap Poissonity test on integer samples",
-        description="parametric-bootstrap Poissonity test on integer samples; "
-        "exit code 3 signals rejection",
+        _cmd_poisson_test,
+        "parametric-bootstrap Poissonity test on integer samples; exit code 3 signals rejection",
+        reads="sample file (.txt)",
+        dist=False,
+        grid=False,
+        n_max=None,
     )
-    p.set_defaults(handler=_cmd_poisson_test)
-    p.add_argument("--output", choices=("json", "csv"), default="json", help="output rendering")
-    p.add_argument("--input", required=True, metavar="PATH", help="sample file (.txt)")
     p.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
     p.add_argument(
         "--bootstrap", type=int, default=1000, metavar="B", help="replicates (default 1000)"

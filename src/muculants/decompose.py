@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
-    DEFAULT_GRID_SIZE,
     VANISH_TOL,
     FrequencyGrid,
+    grid_for_pmf,
     require_modulus,
     require_resolution,
     support_width,
@@ -71,11 +71,14 @@ def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decom
 
     The factors are returned as signed sequences; each is flagged as a PMF
     iff it is nonnegative within 1e-10 and sums to 1 within 1e-8.  A
-    minimum-phase input returns itself plus a unit mass at zero; inputs
-    with charfn zeros on the unit circle raise :class:`CharFnVanishes`.
+    minimum-phase input returns itself plus a unit mass at zero.  Raises
+    :class:`CharFnVanishes` where |Phi| is below 1e-8 at a grid point.
+    Zeros on the unit circle between grid points pass that guard (open,
+    ROADMAP item 2): Uniform{0..6} returns with neither factor flagged a
+    PMF at n_max 20 and raises :class:`SupportTooSmall` at n_max 100.
     """
     if grid is None:
-        grid = FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE, n_max)
+        grid = grid_for_pmf(f, n_max)
     require_resolution(f.offset, f.offset + len(f) - 1, grid)
     coef, min_abs = _log_coefficients(f.probs[None], f.offset, grid, n_max, VANISH_TOL)
     require_modulus(min_abs, VANISH_TOL)

@@ -57,6 +57,12 @@ class PoissonTestResult:
     n_bootstrap_used: int
 
 
+def require_sample_size(size) -> None:
+    """ValueError unless each number of draws in ``size`` is at least 100."""
+    if np.min(size) < MIN_SAMPLE_SIZE:
+        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {np.min(size)}")
+
+
 def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
     """Grid sized for sample data: eight points per support index keeps the
     unwrap safe even for bootstrap resamples that overshoot the observed
@@ -78,8 +84,7 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     there, and the coefficients may not exist at all).
     """
     xi = integer_samples(samples)
-    if xi.size < MIN_SAMPLE_SIZE:
-        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {xi.size}")
+    require_sample_size(xi.size)
     lo = int(xi.min())
     require_resolution(lo, int(xi.max()), grid)
     counts = np.bincount(xi - lo)[None]
@@ -131,8 +136,7 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     than 100 draws raises ValueError.
     """
     counts = np.asarray(counts)
-    if np.any(counts.sum(axis=-1) < MIN_SAMPLE_SIZE):
-        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples per replicate")
+    require_sample_size(counts.sum(axis=-1))
     mask = _window_mask(window)
     n_max = len(mask) // 2
     rows = max(1, _CHUNK_POINTS // grid.n_points)

@@ -12,7 +12,6 @@ reconstruction windows lo..hi, -70 <= lo <= hi <= 70, at n_max next to a
 crossing.
 """
 
-import argparse
 import importlib
 
 import numpy as np
@@ -21,12 +20,12 @@ from muculants import (
     FrequencyGrid,
     MuculantSeq,
     decompose,
+    grid_for_pmf,
     grid_for_samples,
     poisson_test,
     reconstruct_sequence,
     validate_pmf,
 )
-from muculants.cli import _pmf_grid
 
 # the package namespace re-exports functions under their modules' names
 decompose_module = importlib.import_module("muculants.decompose")
@@ -149,8 +148,7 @@ def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
     for w, n_max in SWEEP:
         old = old_pmf_grid(w)
         want = old if 4 * n_max <= old else 1 << (4 * n_max - 1).bit_length()
-        args = argparse.Namespace(grid=None, n_max=n_max)
-        assert _pmf_grid(args, pmfs[w]).n_points == want, (w, n_max)
+        assert grid_for_pmf(pmfs[w], n_max).n_points == want, (w, n_max)
         assert grid_of(decompose, pmfs[w], n_max) == want, (w, n_max)
 
 

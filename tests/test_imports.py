@@ -15,7 +15,11 @@ No linter ships with the test dependencies, so these are small stdlib-only
   ``empirical_charfn``, ``complex_log``, ``complex_muculants`` and
   ``power_muculants`` are called nowhere in the package outside ``cli.py``
   (they take caller-supplied samples; every internal route runs the
-  half-spectrum log kernel in ``transform``).
+  half-spectrum log kernel in ``transform``);
+- the PMF default grid has one home, ``charfn.grid_for_pmf``: no other
+  module reads ``DEFAULT_GRID_SIZE``, and ``cli.py`` neither calls
+  ``for_width`` nor uses ``support_width`` (it takes the library's default
+  grids).
 """
 
 import ast
@@ -142,3 +146,43 @@ def test_checker_finds_staged_calls():
 def test_staged_functions_serve_only_the_cli():
     calls = {p.name: staged_calls(p.read_text()) for p in MODULES if p.name != "cli.py"}
     assert {name: c for name, c in calls.items() if c} == {}
+
+
+def name_uses(source: str, name: str) -> list[int]:
+    """Line of each read of ``name``: bare, as an attribute, or imported
+    (under any alias).  Assignments and definitions are not reads."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used = node.id == name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used = node.attr == name
+        elif isinstance(node, ast.ImportFrom):
+            used = any(alias.name == name for alias in node.names)
+        else:
+            continue
+        if used:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_name_uses():
+    source = (
+        "from .charfn import DEFAULT_GRID_SIZE as N, support_width\n"
+        "DEFAULT_GRID_SIZE = 4096\n"
+        "n = charfn.DEFAULT_GRID_SIZE\n"
+        "g = FrequencyGrid.for_width(support_width(f), DEFAULT_GRID_SIZE)\n"
+    )
+    assert name_uses(source, "DEFAULT_GRID_SIZE") == [1, 3, 4]
+    assert name_uses(source, "for_width") == [4]
+    assert name_uses(source, "support_width") == [1, 4]
+    definition = "def for_width(w):\n    return 'for_width'\nx.for_width = 1\n"
+    assert name_uses(definition, "for_width") == []
+
+
+def test_the_pmf_default_grid_has_one_home():
+    reads = {p.name: name_uses(p.read_text(), "DEFAULT_GRID_SIZE") for p in PACKAGE.glob("*.py")}
+    assert [name for name, lines in reads.items() if lines] == ["charfn.py"]
+    cli = (PACKAGE / "cli.py").read_text()
+    assert name_uses(cli, "for_width") == []
+    assert name_uses(cli, "support_width") == []

@@ -401,6 +401,67 @@ def test_cli_requires_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+_HOLDS_MUCULANTS = "error: ValueError: input already holds muculants; nothing to compute\n"
+_RECONSTRUCT_NEEDS = "error: ValueError: reconstruct needs a muculant JSON input or --dist\n"
+_DECOMPOSE_NEEDS = "error: ValueError: decompose needs a PMF input (.json) or --dist\n"
+_GRID_TOO_SMALL = "error: ValueError: n_max must be in 1..16 for this grid\n"
+
+
+_SOURCE_REFUSALS = [
+    (["muculants", "--input", "{muc}"], _HOLDS_MUCULANTS),
+    (["power-muculants", "--input", "{muc}"], _HOLDS_MUCULANTS),
+    (["cumulants", "--input", "{muc}"], _HOLDS_MUCULANTS),
+    (["reconstruct", "--input", "{pmf}", "--support", "0:5"], _RECONSTRUCT_NEEDS),
+    (["reconstruct", "--input", "{txt}", "--support", "0:5"], _RECONSTRUCT_NEEDS),
+    (["decompose", "--input", "{txt}"], _DECOMPOSE_NEEDS),
+    (["decompose", "--input", "{muc}"], _DECOMPOSE_NEEDS),
+    (
+        ["poisson-test", "--input", "{pmf}"],
+        "error: ValueError: poisson-test reads newline-delimited samples (.txt)\n",
+    ),
+    (
+        ["zoo", "--dist", "geometric:p=0.5", "--input", "{txt}"],
+        "usage: muculants [-h] [--version] command ...\n"
+        "muculants: error: unrecognized arguments: --input {txt}\n",
+    ),
+    (["muculants", "--input", "{pmf}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["muculants", "--input", "{txt}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["power-muculants", "--input", "{pmf}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["power-muculants", "--input", "{txt}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["cumulants", "--input", "{pmf}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["cumulants", "--input", "{txt}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["decompose", "--input", "{pmf}", "--grid", "64"], _GRID_TOO_SMALL),
+    (["decompose", "--dist", "bernoulli:p=0.3", "--grid", "64"], _GRID_TOO_SMALL),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want", _SOURCE_REFUSALS, ids=[" ".join(argv) for argv, _ in _SOURCE_REFUSALS]
+)
+def test_cli_refuses_a_source_or_grid_it_cannot_use(capsys, tmp_path, argv, want):
+    files = {
+        "muc": tmp_path / "muc.json",
+        "pmf": tmp_path / "law.json",
+        "txt": tmp_path / "xs.txt",
+    }
+    files["muc"].write_text(zoo_geometric_json(5))
+    files["pmf"].write_text(dumps_json({"offset": 0, "probs": [0.7, 0.3]}))
+    write_samples(files["txt"], [0] * 100 + [1] * 60 + [2] * 40)
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", want.format(**files))
+
+
+def test_cli_sample_routes_share_one_size_minimum(capsys, tmp_path):
+    p = write_samples(tmp_path / "five.txt", [0, 1, 2, 1, 0])
+    for command in ("muculants", "power-muculants"):
+        code, out, err = run_cli(capsys, command, "--input", p, "--n-max", "3")
+        assert (code, out, err) == (2, "", "error: ValueError: need at least 100 samples, got 5\n")
+
+
 def test_cli_domain_errors_exit_one(capsys, tmp_path):
     p = tmp_path / "half.json"
     p.write_text(dumps_json({"offset": 0, "probs": [0.5, 0.5]}))
