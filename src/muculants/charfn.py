@@ -129,14 +129,20 @@ def fold_indices(coeffs, offset: int, n: int, out=None) -> np.ndarray:
     """``coeffs[..., i]`` summed into bin (offset + i) mod n of the trailing
     axis: the fold that makes an n-point transform exact for any support.
 
-    ``out``, when given, is zeroed and receives the fold."""
+    One slice ``+=`` per wrap of the support around the n bins, so each bin
+    sums its coefficients in index order.  ``out``, when given, is zeroed
+    and receives the fold."""
     c = np.asarray(coeffs, dtype=np.float64)
     if out is None:
         out = np.zeros(c.shape[:-1] + (n,))
     else:
         out.fill(0.0)
-    idx = (int(offset) + np.arange(c.shape[-1])) % n
-    np.add.at(out, (..., idx), c)
+    length = c.shape[-1]
+    i, b = 0, int(offset) % n  # coefficient i lands in bin b
+    while i < length:
+        step = min(n - b, length - i)
+        out[..., b : b + step] += c[..., i : i + step]
+        i, b = i + step, 0
     return out
 
 
@@ -244,18 +250,31 @@ def unwrap_phase(principal) -> np.ndarray:
 
     The first element is kept; each later element is shifted by the integer
     multiple of 2*pi that brings the consecutive difference into [-pi, pi].
-    Sequences run along the trailing axis.
+    Sequences run along the trailing axis.  Raises ValueError for an empty
+    input or values outside the principal range; the arithmetic is
+    :func:`unwrap_in_place` on a copy.
     """
     p = np.asarray(principal, dtype=np.float64)
     if p.ndim == 0 or p.size == 0:
         raise ValueError("need a nonempty sequence")
     if np.max(np.abs(p)) > np.pi + 1e-9:
         raise ValueError("inputs must be principal values in (-pi, pi]")
-    d = np.diff(p)
-    corrections = -2.0 * np.pi * np.cumsum(np.round(d / (2.0 * np.pi)), axis=-1)
     out = p.copy()
-    out[..., 1:] += corrections
+    unwrap_in_place(out, np.empty(out.shape[:-1] + (out.shape[-1] - 1,)))
     return out
+
+
+def unwrap_in_place(phase: np.ndarray, steps: np.ndarray) -> None:
+    """:func:`unwrap_phase` of ``phase`` written back into it, with no range
+    check and no allocation: ``steps``, one shorter along the trailing axis,
+    receives the consecutive differences, then their cumulative 2*pi
+    corrections.  Either may be a strided view (``log.imag``)."""
+    np.subtract(phase[..., 1:], phase[..., :-1], out=steps)
+    np.divide(steps, 2.0 * np.pi, out=steps)
+    np.round(steps, out=steps)
+    np.cumsum(steps, axis=-1, out=steps)
+    np.multiply(steps, -2.0 * np.pi, out=steps)
+    phase[..., 1:] += steps
 
 
 def require_modulus(values, floor: float) -> tuple[np.ndarray, float]:

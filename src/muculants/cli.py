@@ -92,6 +92,25 @@ def _load_source(args, *accept):
     return kind, value
 
 
+# The flags a route parses but does not read, by command: its source flag
+# and those flags.  Closed-form cumulants take no grid and no index range,
+# and a muculant file carries its own index range.
+_UNREAD = {"cumulants": ("dist", ("grid", "n_max")), "reconstruct": ("input", ("n_max",))}
+
+
+def _settle_flags(args) -> None:
+    """ValueError naming a flag that the chosen route would ignore; then
+    ``--n-max``, when left out, takes its command's default."""
+    source, unread = _UNREAD.get(args.command, (None, ()))
+    if source is not None and getattr(args, source) is not None:
+        for dest in unread:
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} has no effect on {args.command} --{source}")
+    if getattr(args, "n_max", 0) is None:
+        args.n_max = args.default_n_max
+
+
 def _grid(args, data, default_rule) -> FrequencyGrid:
     """``--grid`` when given, else the library's ``default_rule(data, n_max)``."""
     if args.grid is not None:
@@ -225,10 +244,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--n-max",
                 type=int,
-                default=n_max,
                 metavar="M",
                 help=f"largest coefficient index (default {n_max})",
             )
+            p.set_defaults(default_n_max=n_max)
         return p
 
     add("muculants", _cmd_muculants, "complex coefficients of log charfn")
@@ -314,6 +333,7 @@ def _attach_range_values(argv: list) -> list:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
+        _settle_flags(args)
         return args.handler(args)
     except MuculantError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

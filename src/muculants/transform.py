@@ -20,7 +20,7 @@ from .charfn import (
     require_modulus,
     span_width,
     support_width,
-    unwrap_phase,
+    unwrap_in_place,
 )
 from .errors import (
     ImagResidualTooLarge,
@@ -194,15 +194,22 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     return MuculantSeq(0, n_max, vals, "complex", 0.0)
 
 
-def _workspace(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """Buffers for :func:`_log_coefficients` on up to ``rows`` rows over an
-    n-point grid: the folded weights, then |Phi|, its principal phase and
-    the log over the N/2 + 1 points mu = 0..pi."""
-    half = (rows, n // 2 + 1)
-    return np.empty((rows, n)), np.empty(half), np.empty(half), np.empty(half, dtype=complex)
+def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_log_coefficients` on up to ``rows`` rows of
+    ``width`` weights over an n-point grid: the normalised weights, the
+    folded weights, then |Phi| and the log over the N/2 + 1 points
+    mu = 0..pi, and the N/2 phase steps between those points."""
+    half = n // 2 + 1
+    return (
+        np.empty((rows, width)),
+        np.empty((rows, n)),
+        np.empty((rows, half)),
+        np.empty((rows, half), dtype=complex),
+        np.empty((rows, half - 1)),
+    )
 
 
-def _log_coefficients(weights, offset, grid, n_max, floor, work=None, *, histogram=False):
+def _log_coefficients(weights, offset, grid, n_max, floor, work=None, out=None, *, histogram=False):
     """Coefficients c[-n_max..n_max] of log Phi for each row of ``weights``
     (NaN in rows whose |Phi| dips below ``floor``), and each row's smallest
     |Phi|.  Row r weighs ``offset``, ``offset + 1``, ...: PMF probabilities
@@ -214,36 +221,41 @@ def _log_coefficients(weights, offset, grid, n_max, floor, work=None, *, histogr
     one irfft per row.  The irfft keeps only the real part at pi, so the
     phase there counts as the jump midpoint 0, as in :func:`complex_log`.
     The buffers are ``work``, a :func:`_workspace` of at least
-    ``len(weights)`` rows (built when not given); kept rows move to the
-    front of them.
+    ``len(weights)`` rows of ``weights.shape[-1]`` weights (built when not
+    given), and the coefficients go into the rows of ``out`` (built when
+    not given).  The only arrays a call allocates over the grid are then
+    the two transforms' outputs and, when the floor drops rows, the copies
+    that move the kept rows to the front.
     """
     n = grid.n_points
     require_index_range(n, n_max)
-    rows = len(weights)
+    rows, width = weights.shape
     if work is None:
-        work = _workspace(rows, n)
-    folded, mods, phase, log = (b[:rows] for b in work)
+        work = _workspace(rows, n, width)
+    if out is None:
+        out = np.empty((rows, 2 * n_max + 1))
+    normalised, folded, mods, log, steps = (b[:rows] for b in work)
     if histogram:
-        weights = weights / weights.sum(axis=-1, keepdims=True)
+        weights = np.divide(weights, weights.sum(axis=-1, keepdims=True), out=normalised)
     fold_indices(weights, offset, n, out=folded)
     spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
     if histogram:
         spec[:, 0] = 1.0  # exact by construction
     min_abs = np.abs(spec, out=mods).min(axis=-1)
     keep = min_abs >= floor
-    coef = np.full((rows, 2 * n_max + 1), np.nan)
+    out[~keep] = np.nan
     k = int(np.count_nonzero(keep))
     if k:
         if k < rows:
             spec[:k] = spec[keep]
             mods[:k] = mods[keep]
-        spec, mods, phase, log = spec[:k], mods[:k], phase[:k], log[:k]
-        np.arctan2(spec.imag, spec.real, out=phase)
+        spec, mods, log = spec[:k], mods[:k], log[:k]
+        np.arctan2(spec.imag, spec.real, out=log.imag)
         np.log(mods, out=log.real)
-        log.imag = unwrap_phase(phase)
+        unwrap_in_place(log.imag, steps[:k])
         cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
-        coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
-    return coef, min_abs
+        out[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
+    return out, min_abs
 
 
 def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:

@@ -63,3 +63,35 @@ CAUSAL_ZOO_SWEEP = (
     + [NegativeBinomial(r, k / 20) for r in (1, 2, 3, 5, 8) for k in range(1, 20)]
     + [Geometric(k / 20) for k in range(1, 20)]
 )
+
+
+def reference_log_coefficients(weights, offset, grid, n_max, floor, *, histogram=False):
+    """The sample/PMF log kernel as it was before its workspace held every
+    buffer: fresh normalised rows, a zeroed ``np.add.at`` fold, the phase
+    unwrapped through numpy temporaries (diff, divide, round, cumsum,
+    times -2 pi), an ``np.full`` result.  ``transform._log_coefficients``
+    must return the same bytes."""
+    n = grid.n_points
+    rows = len(weights)
+    if histogram:
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+    folded = np.zeros((rows, n))
+    np.add.at(folded, (..., (int(offset) + np.arange(weights.shape[-1])) % n), weights)
+    spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
+    if histogram:
+        spec[:, 0] = 1.0
+    mods = np.abs(spec)
+    min_abs = mods.min(axis=-1)
+    keep = min_abs >= floor
+    coef = np.full((rows, 2 * n_max + 1), np.nan)
+    if keep.any():
+        spec, mods = spec[keep], mods[keep]
+        phase = np.arctan2(spec.imag, spec.real)
+        d = np.diff(phase)
+        phase[:, 1:] += -2.0 * np.pi * np.cumsum(np.round(d / (2.0 * np.pi)), axis=-1)
+        log = np.empty(spec.shape, dtype=complex)
+        log.real = np.log(mods)
+        log.imag = phase
+        cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
+        coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
+    return coef, min_abs

@@ -22,7 +22,12 @@ from muculants import (
     unwrap_phase,
     validate_pmf,
 )
-from muculants.charfn import MAX_GRID_POINTS, check_charfn_values, fold_indices
+from muculants.charfn import (
+    MAX_GRID_POINTS,
+    check_charfn_values,
+    fold_indices,
+    unwrap_in_place,
+)
 
 from support import random_pmf
 
@@ -120,11 +125,16 @@ def test_analysis_rejects_aliased_indices():
 # divide the whole forward FFT by N, compare every sample with its partner.
 # The kernels must reproduce them bit for bit, and the check its decisions.
 
-def reference_grid_synthesis(coeffs, offset, grid):
-    n = grid.n_points
+def reference_fold(coeffs, offset, n):
     c = np.asarray(coeffs, dtype=np.float64)
     folded = np.zeros(c.shape[:-1] + (n,))
     np.add.at(folded, (..., (int(offset) + np.arange(c.shape[-1])) % n), c)
+    return folded
+
+
+def reference_grid_synthesis(coeffs, offset, grid):
+    n = grid.n_points
+    folded = reference_fold(coeffs, offset, n)
     alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return np.fft.ifft(folded * alt) * n
 
@@ -184,6 +194,21 @@ def test_fold_into_a_buffer_matches_the_fresh_fold_bit_for_bit():
             got = fold_indices(coeffs, offset, n, out=buf)
             assert got is buf
             assert got.tobytes() == want.tobytes(), (shape, offset)
+
+
+def test_fold_matches_the_add_at_fold_bit_for_bit():
+    # each bin sums its coefficients in index order, as np.add.at does; the
+    # magnitudes span 16 decades, so any other order would show
+    rng = np.random.default_rng(15)
+    n = 16
+    shapes = ((1,), (5,), (16,), (17,), (33,), (47,), (48,), (3, 40), (2, 3, 47))
+    offsets = (0, 5, 15, -1, -n, -n - 5, -3 * n - 1, n, n + 7, 3 * n + 2, 10**6 + 3)
+    for shape in shapes:  # up to three wraps of the support around the bins
+        for offset in offsets:
+            coeffs = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            coeffs.flat[0] = -0.0
+            got = fold_indices(coeffs, offset, n)
+            assert got.tobytes() == reference_fold(coeffs, offset, n).tobytes(), (shape, offset)
 
 
 def test_hermitian_check_matches_reference():
@@ -281,6 +306,35 @@ def test_unwrap_undoes_wrapping(steps):
 def test_unwrap_rejects_values_outside_principal_range():
     with pytest.raises(ValueError):
         unwrap_phase(np.array([0.0, 4.0]))
+    rows = np.zeros((3, 10))
+    rows[2, 7] = -np.pi - 1e-6  # one value in one stacked row
+    with pytest.raises(ValueError, match="principal values"):
+        unwrap_phase(rows)
+    for empty in (np.array(0.5), np.array([])):
+        with pytest.raises(ValueError, match="nonempty"):
+            unwrap_phase(empty)
+
+
+def test_unwrap_phase_leaves_its_input_as_it_was():
+    p = np.array([[3.0, -3.0, 3.0], [0.0, 2.0, -2.0]])
+    before = p.tobytes()
+    assert np.max(np.abs(unwrap_phase(p) - p)) > 6.0
+    assert p.tobytes() == before
+
+
+def test_unwrap_in_place_into_a_strided_view_matches_unwrap_phase_bit_for_bit():
+    # the log kernel unwraps the imaginary part of its complex log buffer
+    rng = np.random.default_rng(16)
+    curve = np.cumsum(rng.uniform(-3.1, 3.1, size=(6, 257)), axis=-1)
+    principal = np.angle(np.exp(1j * curve))
+    for rows in (principal, principal[3]):
+        log = np.full(rows.shape, np.nan, dtype=complex)
+        log.imag = rows
+        assert not log.imag.flags.c_contiguous
+        steps = np.full(rows.shape[:-1] + (rows.shape[-1] - 1,), np.nan)
+        unwrap_in_place(log.imag, steps)
+        assert np.ascontiguousarray(log.imag).tobytes() == unwrap_phase(rows).tobytes()
+        assert np.isnan(log.real).all()  # the other half of each value is untouched
 
 
 def test_complex_log_round_trip():

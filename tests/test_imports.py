@@ -19,7 +19,10 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - the PMF default grid has one home, ``charfn.grid_for_pmf``: no other
   module reads ``DEFAULT_GRID_SIZE``, and ``cli.py`` neither calls
   ``for_width`` nor uses ``support_width`` (it takes the library's default
-  grids).
+  grids);
+- no ``np.add.at``: its generic unbuffered path is slow, and the one fold,
+  ``charfn.fold_indices``, adds one slice per wrap of the support (the
+  tests keep ``np.add.at`` as its reference).
 """
 
 import ast
@@ -186,3 +189,26 @@ def test_the_pmf_default_grid_has_one_home():
     cli = (PACKAGE / "cli.py").read_text()
     assert name_uses(cli, "for_width") == []
     assert name_uses(cli, "support_width") == []
+
+
+def add_at_uses(source: str) -> list[int]:
+    """Line of each ``<anything>.add.at`` (``np.add.at``, ``numpy.add.at``)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "add"
+    ]
+
+
+def test_checker_finds_add_at():
+    assert add_at_uses("import numpy as np\nnp.add.at(a, i, b)\n") == [2]
+    assert add_at_uses("f = numpy.add.at\n") == [1]
+    assert add_at_uses("np.add(a, b)\nx.at(1)\nadd.at\n") == []
+
+
+def test_no_add_at_in_the_package():
+    uses = {p.name: add_at_uses(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}

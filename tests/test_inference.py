@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from muculants.charfn import (
 )
 import muculants.inference as inference
 from muculants.inference import replicate_statistics
-from muculants.transform import _log_coefficients
+from muculants.transform import _log_coefficients, _workspace
+
+from support import reference_log_coefficients
 
 
 def test_sample_grid_sizing():
@@ -337,6 +341,86 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     assert keep.any() and not keep.all()
 
 
+def log_kernel_cases():
+    """(label, weights, offset, grid, n_max, floor, histogram) for the log
+    kernel: histogram and PMF rows at N = 64 ... 4096, rows the floor drops
+    (about a fifth of Poisson(3) samples, and the |E - O| = 10 ties),
+    winding rows, negative and wrapping offsets, and supports wider than
+    the grid."""
+    rng = np.random.default_rng(61)
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        grid = FrequencyGrid(n)
+        pmf = zoo_pmf(Poisson(3.0))
+        counts = rng.multinomial(10_000, pmf.probs, size=24)
+        yield "histogram", counts, pmf.offset, grid, 8, 1e-3, True
+        yield "pmf", rng.dirichlet(np.ones(9), size=6), -4, grid, n // 4, 1e-8, False
+        for offset in (-n - 3, 2 * n + 1, -5):
+            yield f"offset {offset}", rng.dirichlet(np.ones(12), size=5), offset, grid, 8, 1e-8, False
+        wide = rng.dirichlet(np.full(n + n // 2, 5.0), size=3)
+        yield "wider than the grid", wide, -n // 3, grid, 8, 1e-8, False
+        # Bernoulli(p > 1/2) shifted to 3: the charfn winds four times
+        winding = np.column_stack([rng.integers(200, 400, 8), rng.integers(600, 800, 8)])
+        yield "winding", winding, 3, grid, 8, 1e-3, True
+    for n in (128, 256, 512):
+        yield "ties", tied_histograms(rng, 60), 0, FrequencyGrid(n), 8, 1e-3, True
+
+
+def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit():
+    dropped = kept = 0
+    for label, weights, offset, grid, n_max, floor, histogram in log_kernel_cases():
+        want_coef, want_min = reference_log_coefficients(
+            weights, offset, grid, n_max, floor, histogram=histogram
+        )
+        rows, width = weights.shape
+        # a workspace larger than needed and a result, both left dirty
+        work = _workspace(rows + 3, grid.n_points, width)
+        for buffer in work:
+            buffer.fill(np.nan)
+        out = np.full((rows, 2 * n_max + 1), 7.0)
+        fresh = _log_coefficients(weights, offset, grid, n_max, floor, histogram=histogram)
+        reused = _log_coefficients(
+            weights, offset, grid, n_max, floor, work, out, histogram=histogram
+        )
+        assert reused[0] is out
+        for coef, min_abs in (fresh, reused):
+            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points)
+            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points)
+        dropped += int(np.isnan(want_coef[:, 0]).sum())
+        kept += int(np.isfinite(want_coef[:, 0]).sum())
+    assert dropped >= 100 and kept >= 300
+
+
+def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
+    # with its workspace and result given, a chunk whose rows the floor all
+    # keeps allocates the rfft and irfft outputs and a few per-row vectors:
+    # no other rows x N array
+    grid = FrequencyGrid(512)
+    pmf = zoo_pmf(Geometric(0.25))
+    counts = np.random.default_rng(62).multinomial(10_000, pmf.probs, size=32)
+    work = _workspace(32, 512, counts.shape[-1])
+    out = np.empty((32, 17))
+    folded, log = work[1], work[3]
+    tracemalloc.start()
+    try:
+        footprints = []
+        for call in (
+            lambda: np.fft.rfft(folded),
+            lambda: (np.fft.rfft(folded), np.fft.irfft(log, 512)),
+            lambda: _log_coefficients(counts, 0, grid, 8, 1e-3, work, out, histogram=True),
+        ):
+            call()  # warm
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            footprints.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out).all()
+    transforms = max(footprints[:2])
+    halves = 32 * 257 * 8  # one float array over mu = 0..pi
+    assert footprints[2] < transforms + halves // 4, footprints
+
+
 def chunk_settings(n_points, rows):
     """_CHUNK_POINTS values that run ``rows`` replicates one row per chunk,
     in chunks of the default size, and in one chunk."""
@@ -392,9 +476,9 @@ def test_replicate_statistics_builds_one_workspace_per_call(monkeypatch):
     built = []
     workspace = inference._workspace
 
-    def spy(rows, n):
+    def spy(rows, n, width):
         built.append((rows, n))
-        return workspace(rows, n)
+        return workspace(rows, n, width)
 
     monkeypatch.setattr(inference, "_workspace", spy)
     pmf = zoo_pmf(Poisson(3.0))

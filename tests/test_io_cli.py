@@ -9,9 +9,22 @@ import numpy as np
 import pytest
 
 import muculants.charfn
-from muculants import EmptySample, Geometric, validate_pmf, zoo_muculants, zoo_pmf
+from muculants import (
+    EmptySample,
+    FrequencyGrid,
+    Geometric,
+    complex_log,
+    complex_muculants,
+    cumulants_from_muculants,
+    eval_charfn,
+    reconstruct_sequence,
+    validate_pmf,
+    zoo_muculants,
+    zoo_pmf,
+)
 from muculants.cli import main
 from muculants.io import (
+    cumulants_to_dict,
     dumps_json,
     flat_csv,
     format_number,
@@ -21,6 +34,7 @@ from muculants.io import (
     pmf_from_dict,
     pmf_to_dict,
     read_samples,
+    sequence_to_dict,
 )
 
 
@@ -453,6 +467,62 @@ def test_cli_refuses_a_source_or_grid_it_cannot_use(capsys, tmp_path, argv, want
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", want.format(**files))
+
+
+_UNREAD_FLAGS = [
+    (["cumulants", "--dist", "poisson:lambda=2", "--grid", "64"], "--grid", "cumulants --dist"),
+    (["cumulants", "--dist", "poisson:lambda=2", "--n-max", "1"], "--n-max", "cumulants --dist"),
+    # the defaults' own values are refused too: the route reads neither flag
+    (
+        ["cumulants", "--dist", "poisson:lambda=2", "--n-max", "60", "--grid", "4096"],
+        "--grid",
+        "cumulants --dist",
+    ),
+    (
+        ["reconstruct", "--input", "{muc}", "--support", "0:5", "--n-max", "1"],
+        "--n-max",
+        "reconstruct --input",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, route", _UNREAD_FLAGS, ids=[" ".join(argv) for argv, _, _ in _UNREAD_FLAGS]
+)
+def test_cli_refuses_flags_its_route_would_ignore(capsys, tmp_path, argv, flag, route):
+    muc = tmp_path / "muc.json"
+    muc.write_text(zoo_geometric_json(5))
+    code, out, err = run_cli(capsys, *[arg.format(muc=muc) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {flag} has no effect on {route}\n"
+
+
+def test_cli_routes_that_read_grid_and_n_max_still_take_them(capsys, tmp_path):
+    f = zoo_pmf(Geometric(0.7))
+    law = tmp_path / "law.json"
+    law.write_text(dumps_json(pmf_to_dict(f)))
+    muc = tmp_path / "muc.json"
+    muc.write_text(zoo_geometric_json(5))
+
+    def cumulants(grid, n_max):
+        seq = complex_muculants(complex_log(eval_charfn(f, FrequencyGrid(grid))), n_max)
+        return dumps_json(cumulants_to_dict(cumulants_from_muculants(seq, 4)))
+
+    for flags, want in (
+        (("--grid", "8192", "--n-max", "30"), cumulants(8192, 30)),
+        ((), cumulants(4096, 60)),  # the default grid and n_max
+    ):
+        assert run_cli(capsys, "cumulants", "--input", str(law), *flags) == (0, want, "")
+    assert cumulants(8192, 30) != cumulants(4096, 60)
+    window = ("--support", "0:40")
+    for flags, n_max in ((("--n-max", "30"), 30), ((), 20)):
+        seq = zoo_muculants(Geometric(0.5), (-n_max, n_max))
+        want = dumps_json(sequence_to_dict(reconstruct_sequence(seq, (0, 40))))
+        argv = ("reconstruct", "--dist", "geometric:p=0.5", *window, *flags)
+        assert run_cli(capsys, *argv) == (0, want, "")
+    seq = zoo_muculants(Geometric(0.5), (-5, 5))  # the file's own range
+    want = dumps_json(sequence_to_dict(reconstruct_sequence(seq, (0, 40))))
+    assert run_cli(capsys, "reconstruct", "--input", str(muc), *window) == (0, want, "")
 
 
 def test_cli_sample_routes_share_one_size_minimum(capsys, tmp_path):
