@@ -14,6 +14,7 @@ from muculants import (
     eval_charfn,
     validate_pmf,
 )
+from muculants.io import format_number
 
 # Rejection floor for random PMFs.  The log pipeline needs |phi| bounded
 # away from zero everywhere, not just on the analysis grid, so candidates
@@ -95,3 +96,68 @@ def reference_log_coefficients(weights, offset, grid, n_max, floor, *, histogram
         cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
         coef[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
     return coef, min_abs
+
+
+def reference_dumps_json(obj) -> str:
+    """``io.dumps_json`` one number at a time: every value, list entries
+    included, goes through ``format_number`` on its own."""
+    out = []
+
+    def emit(x, depth):
+        pad = "  " * depth
+        if isinstance(x, dict):
+            if not x:
+                out.append("{}")
+                return
+            out.append("{\n")
+            for i, (key, val) in enumerate(x.items()):
+                out.append(f'{pad}  "{key}": ')
+                emit(val, depth + 1)
+                out.append(",\n" if i < len(x) - 1 else "\n")
+            out.append(pad + "}")
+        elif isinstance(x, (list, tuple, np.ndarray)):
+            out.append("[")
+            for i, val in enumerate(x):
+                if i:
+                    out.append(", ")
+                emit(val, depth + 1)
+            out.append("]")
+        elif isinstance(x, str):
+            out.append(f'"{x}"')
+        elif x is None:
+            out.append("null")
+        else:
+            out.append(format_number(x))
+
+    emit(obj, 0)
+    return "".join(out) + "\n"
+
+
+def reference_flat_csv(d: dict) -> str:
+    """``io.flat_csv`` one number at a time."""
+    lines = ["field,value"]
+
+    def walk(prefix, val):
+        if isinstance(val, dict):
+            for key, sub in val.items():
+                walk(f"{prefix}.{key}" if prefix else key, sub)
+        elif isinstance(val, (list, tuple, np.ndarray)):
+            for i, sub in enumerate(val):
+                walk(f"{prefix}[{i}]", sub)
+        elif isinstance(val, str):
+            lines.append(f"{prefix},{val}")
+        elif val is None:
+            lines.append(f"{prefix},null")
+        else:
+            lines.append(f"{prefix},{format_number(val)}")
+
+    walk("", d)
+    return "\n".join(lines) + "\n"
+
+
+def reference_indexed_csv(label: str, indices, values) -> str:
+    """``io.indexed_csv`` one number at a time."""
+    lines = [f"{label},value"]
+    for i, v in zip(indices, values):
+        lines.append(f"{int(i)},{format_number(v)}")
+    return "\n".join(lines) + "\n"

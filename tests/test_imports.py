@@ -22,7 +22,10 @@ No linter ships with the test dependencies, so these are small stdlib-only
   grids);
 - no ``np.add.at``: its generic unbuffered path is slow, and the one fold,
   ``charfn.fold_indices``, adds one slice per wrap of the support (the
-  tests keep ``np.add.at`` as its reference).
+  tests keep ``np.add.at`` as its reference);
+- the number format has one home: the text ``.17g`` occurs exactly once in
+  the package, so ``io.format_number`` and the batch formatter beside it
+  cannot drift apart.
 """
 
 import ast
@@ -212,3 +215,8 @@ def test_checker_finds_add_at():
 def test_no_add_at_in_the_package():
     uses = {p.name: add_at_uses(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_the_number_format_has_one_home():
+    counts = {p.name: p.read_text().count(".17g") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == {"io.py": 1}

@@ -4,19 +4,30 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muculants.charfn
+import muculants.io
 from muculants import (
     EmptySample,
     FrequencyGrid,
     Geometric,
+    NegativeBinomial,
+    Poisson,
     complex_log,
     complex_muculants,
     cumulants_from_muculants,
+    decompose,
+    estimate_muculants,
     eval_charfn,
+    grid_for_samples,
+    poisson_test,
+    power_muculants,
     reconstruct_sequence,
     validate_pmf,
     zoo_muculants,
@@ -24,7 +35,10 @@ from muculants import (
 )
 from muculants.cli import main
 from muculants.io import (
+    _parse_canonical,
+    _read_samples_text,
     cumulants_to_dict,
+    decomposition_to_dict,
     dumps_json,
     flat_csv,
     format_number,
@@ -36,6 +50,7 @@ from muculants.io import (
     read_samples,
     sequence_to_dict,
 )
+from support import reference_dumps_json, reference_flat_csv, reference_indexed_csv
 
 
 # -------------------------------------------------------------------- text
@@ -90,6 +105,91 @@ def test_strings_with_control_characters_are_refused():
         dumps_json({"a": 'quote "'})
     with pytest.raises(ValueError):
         dumps_json({"a": "line\nbreak"})
+    # in CSV a comma or a line break would add a column or a row
+    for text in ("x,y", "line\nbreak", "carriage\rreturn"):
+        with pytest.raises(ValueError, match="not serializable as a CSV field"):
+            flat_csv({"a": text})
+    assert flat_csv({"a": 'quote "'}) == 'field,value\na,quote "\n'
+
+
+# ------------------------------------------------------- batched rendering
+
+
+def _subcommand_payloads():
+    """(payload, indexed rows or None) as each subcommand renders them."""
+    f = zoo_pmf(NegativeBinomial(2, 0.3))
+    grid = FrequencyGrid(4096)
+    xs = np.random.default_rng(8).poisson(2.0, 2000)
+    seq = complex_muculants(complex_log(eval_charfn(f, grid)), 20)
+    samples = estimate_muculants(xs, grid_for_samples(xs), 10)
+    power = power_muculants(eval_charfn(f, grid), 20)
+    kv = cumulants_from_muculants(complex_muculants(complex_log(eval_charfn(f, grid)), 60), 4)
+    rec = reconstruct_sequence(zoo_muculants(Poisson(2.0), (-20, 20)), (-5, 30))
+    zoo = zoo_muculants(Geometric(0.4), (-20, 20))
+    return {
+        "muculants": (muculants_to_dict(seq), ("n", seq.indices, seq.values)),
+        "muculants-samples": (muculants_to_dict(samples), ("n", samples.indices, samples.values)),
+        "power-muculants": (muculants_to_dict(power), ("n", power.indices, power.values)),
+        "cumulants": (cumulants_to_dict(kv), ("k", range(1, len(kv.values) + 1), kv.values)),
+        "reconstruct": (sequence_to_dict(rec), ("xi", rec.support, rec.values)),
+        "decompose": (decomposition_to_dict(decompose(f, 100)), None),
+        "zoo": (muculants_to_dict(zoo), ("n", zoo.indices, zoo.values)),
+        "poisson-test": (muculants.io.test_result_to_dict(poisson_test(xs, n_bootstrap=50, seed=3)), None),
+        "pmf": (pmf_to_dict(f), None),
+    }
+
+
+def test_batched_rendering_matches_the_per_number_renderer_on_every_payload():
+    for name, (payload, rows) in _subcommand_payloads().items():
+        assert dumps_json(payload) == reference_dumps_json(payload), name
+        assert flat_csv(payload) == reference_flat_csv(payload), name
+        if rows is not None:
+            assert indexed_csv(*rows) == reference_indexed_csv(*rows), name
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=40,
+    )
+)
+def test_batched_rendering_matches_the_per_number_renderer_on_floats(xs):
+    doc = {"v": xs, "w": {"x": list(reversed(xs))}}
+    assert dumps_json(doc) == reference_dumps_json(doc)
+    assert flat_csv(doc) == reference_flat_csv(doc)
+    for values in (xs, np.array(xs, dtype=np.float64)):
+        rows = ("n", range(-3, len(xs) - 3), values)
+        assert indexed_csv(*rows) == reference_indexed_csv(*rows)
+
+
+@pytest.mark.parametrize(
+    "xs, bad",
+    [([1.0, math.nan], "nan"), ([math.inf, math.nan], "inf"), ([0.5, -math.inf, 2.0], "-inf")],
+)
+def test_batched_rendering_refuses_the_first_non_finite_entry(xs, bad):
+    message = f"^non-finite value in output: {bad}$"
+    for render in (
+        lambda: dumps_json({"v": xs}),
+        lambda: flat_csv({"v": xs}),
+        lambda: indexed_csv("n", range(len(xs)), xs),
+        lambda: indexed_csv("n", range(len(xs)), np.array(xs)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            render()
+
+
+def test_lists_of_bools_and_ints_render_per_entry():
+    doc = {"v": [True, 2, 2.5, False], "w": [3, -4], "e": []}
+    assert dumps_json(doc) == '{\n  "v": [true, 2, 2.5, false],\n  "w": [3, -4],\n  "e": []\n}\n'
+    assert flat_csv(doc) == "field,value\nv[0],true\nv[1],2\nv[2],2.5\nv[3],false\nw[0],3\nw[1],-4\n"
+    assert indexed_csv("k", [1, 2, 3], [True, 2, 2.5]) == "k,value\n1,true\n2,2\n3,2.5\n"
+    for doc in ({"v": [np.float64(0.1), np.int64(7), np.bool_(True)]}, {"v": np.array([1, 2])}):
+        assert dumps_json(doc) == reference_dumps_json(doc)
+        assert flat_csv(doc) == reference_flat_csv(doc)
 
 
 # ---------------------------------------------------------------- documents
@@ -174,6 +274,93 @@ def test_read_samples_line_numbers_count_blank_and_comment_lines(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_samples(p)
     assert str(exc.value) == f"{p}:6: not an integer: 'foo'"
+
+
+def _read_outcome(read, path):
+    """The array a reader returns (dtype and values), or its exception."""
+    try:
+        got = read(path)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return got.dtype, got.tolist()
+
+
+_INT64_EDGES = [str(-(2**63)), str(2**63 - 1), str(-(2**63) - 1), str(2**63)]
+_SPECIAL_LINES = _INT64_EDGES + [
+    "9" * 18, "-" + "9" * 18, "1" * 19, "-" + "1" * 19, "9" * 20, "0" * 17 + "42", "0" * 20,
+    "-0", "-", "--1", "1-2", "+7", "1_000", " 3 ", "3 4", "", "#", "5 # c", "\r", "\u0663",
+    "\uff15", "-\u0663\u0664",
+]
+_CANONICAL_LINE = st.one_of(
+    st.integers(-(10**18) + 1, 10**18 - 1).map(str),
+    st.integers(0, 99).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=18)).map("".join),
+)
+_ANY_LINE = st.one_of(
+    _CANONICAL_LINE,
+    st.sampled_from(_SPECIAL_LINES),
+    st.text("0123456789-+_# \r\u0663\uff15", max_size=22),
+)
+
+
+def _sample_file(lines, final_newline, bom=""):
+    return (bom + "\n".join(lines) + ("\n" if final_newline and lines else "")).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_ANY_LINE, max_size=25),
+    final_newline=st.booleans(),
+    bom=st.sampled_from(["", "\ufeff"]),
+    block=st.sampled_from([muculants.io._BLOCK_BYTES, 20, 64]),
+)
+def test_read_samples_routes_agree(tmp_path_factory, lines, final_newline, bom, block):
+    # 20 bytes holds the longest canonical line ('-', 18 digits, newline)
+    p = tmp_path_factory.mktemp("routes") / "xs.txt"
+    p.write_bytes(_sample_file(lines, final_newline, bom))
+    with mock.patch.object(muculants.io, "_BLOCK_BYTES", block):
+        assert _read_outcome(read_samples, p) == _read_outcome(_read_samples_text, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(_CANONICAL_LINE, min_size=1, max_size=40),
+    final_newline=st.booleans(),
+    block=st.sampled_from([muculants.io._BLOCK_BYTES, 20, 64]),
+)
+def test_canonical_files_take_the_array_route(tmp_path_factory, lines, final_newline, block):
+    p = tmp_path_factory.mktemp("canonical") / "xs.txt"
+    data = _sample_file(lines, final_newline)
+    p.write_bytes(data)
+    with mock.patch.object(muculants.io, "_BLOCK_BYTES", block):
+        got = _parse_canonical(data)
+    assert got is not None and got.dtype == np.int64
+    assert got.tolist() == _read_samples_text(p).tolist() == [int(line) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"", b"\n", b"1\n\n", b"\n1\n", b"+1\n", b"1\r\n", b" 1\n", b"1 \n", b"1_0\n",
+        b"-\n", b"--1\n", b"1-2\n", b"1-\n", b"#1\n", b"1234567890123456789\n",
+        b"-1234567890123456789\n", "\u0663\n".encode(), b"\xef\xbb\xbf1\n", b"\xff\n",
+    ],
+    ids=repr,
+)
+def test_other_files_take_the_text_route(data):
+    assert _parse_canonical(data) is None
+
+
+def test_read_samples_routes_agree_across_blocks(tmp_path):
+    # several 64 KiB blocks, every width from 1 to 18 digits, both signs
+    rng = np.random.default_rng(12)
+    xs = rng.integers(-(10**18) + 1, 10**18, 60_000) // 10 ** rng.integers(0, 18, 60_000)
+    p = write_samples(tmp_path / "xs.txt", xs)
+    assert len(Path(p).read_bytes()) > 8 * muculants.io._BLOCK_BYTES
+    np.testing.assert_array_equal(read_samples(p), xs)
+    # a line longer than a block cannot be canonical: the text route reads it
+    Path(p).write_text("1\n" + " " * muculants.io._BLOCK_BYTES + "-5\n2")
+    np.testing.assert_array_equal(read_samples(p), [1, -5, 2])
 
 
 # ----------------------------------------------------------------- commands
@@ -576,6 +763,11 @@ def test_float_fields_refuse_what_json_numbers_are_not(value):
     seq = {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": value}
     with pytest.raises(ValueError, match='"imag_residual" must be a number'):
         muculants_from_dict(seq)
+    # array entries are refused by index, not coerced by numpy
+    with pytest.raises(ValueError, match=r'^"probs"\[1\] must be a number, got '):
+        pmf_from_dict({"offset": 0, "probs": [0.7, value, 0.3]})
+    with pytest.raises(ValueError, match=r'^"values"\[0\] must be a number, got '):
+        muculants_from_dict({"kind": "complex", "n_min": 0, "n_max": 1, "values": [value, 0.5]})
 
 
 def test_float_fields_accept_json_numbers():
@@ -585,6 +777,9 @@ def test_float_fields_accept_json_numbers():
     seq = {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": 1e-12}
     assert muculants_from_dict(seq).imag_residual == 1e-12
     assert muculants_from_dict(dict(seq, imag_residual=0)).imag_residual == 0.0
+    # JSON integers are numbers, in array fields too
+    assert pmf_from_dict({"offset": 0, "probs": [1]}).probs.tolist() == [1.0]
+    assert muculants_from_dict(dict(seq, values=[0, 1])).values.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -597,6 +792,11 @@ def test_float_fields_accept_json_numbers():
             {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, 0.5], "imag_residual": "0"},
             "imag_residual",
         ),
+        ("muculants", {"offset": 0, "probs": ["0.7", "0.3"]}, "probs"),
+        ("decompose", {"offset": 0, "probs": [0.7, None]}, "probs"),
+        ("cumulants", {"offset": 0, "probs": [0.7, [0.3]]}, "probs"),
+        ("reconstruct", {"kind": "complex", "n_min": 0, "n_max": 1, "values": [False, True]}, "values"),
+        ("reconstruct", {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, "0.5"]}, "values"),
     ],
 )
 def test_cli_refuses_json_float_fields_that_are_not_numbers(capsys, tmp_path, command, doc, field):
@@ -605,7 +805,11 @@ def test_cli_refuses_json_float_fields_that_are_not_numbers(capsys, tmp_path, co
     argv = [command, "--input", str(p)] + (["--support", "0:3"] if command == "reconstruct" else [])
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f'error: ValueError: "{field}" must be a number, got {doc[field]!r}\n'
+    value, name = doc[field], f'"{field}"'
+    if isinstance(value, list):  # an array field names its first entry that is not a number
+        i = next(i for i, v in enumerate(value) if isinstance(v, (bool, str, list, type(None))))
+        value, name = value[i], f"{name}[{i}]"
+    assert err == f"error: ValueError: {name} must be a number, got {value!r}\n"
 
 
 def test_json_indices_accept_integers():
