@@ -12,7 +12,7 @@ import numpy as np
 
 from .charfn import FrequencyGrid, integer_samples, require_modulus, require_resolution, span_width
 from .errors import CharFnVanishes, NegativeSampleValue
-from .transform import MuculantSeq, _log_coefficients, _workspace
+from .transform import MuculantSeq, _log_coefficients
 
 # Empirical charfn floor: below this the sample spread is too heavy for the
 # sample size and the coefficient estimates are unusable.
@@ -24,16 +24,6 @@ DEFAULT_WINDOW = (-8, 8)
 
 # Indices carrying Poisson information; the statistic excludes them.
 _POISSON_INDICES = (0, 1)
-
-# Bootstrap replicates go through the kernel in chunks of this many points
-# over the N-point grid (32 replicates when N = 512), every chunk written
-# into one workspace of about 0.4 MB built once per call.  A chunk's rfft
-# and irfft outputs are then its only grid-sized allocations, and at twice
-# this size (about 0.26 MB each when N = 512) they outgrow what the
-# allocator keeps mapped from one chunk to the next: a poisson_test at
-# N = 512 took about 1,540 minor page faults against 155, and every grid
-# ran 9-18% slower (2-vCPU VM).
-_CHUNK_POINTS = 16384
 
 # Poisson tails lighter than this are lumped into the end cells of the
 # bootstrap histogram.
@@ -142,14 +132,7 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     require_sample_size(counts.sum(axis=-1))
     mask = _window_mask(window)
     n_max = len(mask) // 2
-    rows = max(1, _CHUNK_POINTS // grid.n_points)
-    work = _workspace(min(rows, len(counts)), grid.n_points, counts.shape[-1])
-    coef = np.empty((len(counts), 2 * n_max + 1))
-    for i in range(0, len(counts), rows):
-        part = slice(i, i + rows)
-        _log_coefficients(
-            counts[part], offset, grid, n_max, EMPIRICAL_FLOOR, work, coef[part], histogram=True
-        )
+    coef, _ = _log_coefficients(counts, offset, grid, n_max, EMPIRICAL_FLOOR, histogram=True)
     # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
     return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 

@@ -16,35 +16,35 @@ from .pmf import PMF, CumulantVector, SignedSequence, validate_pmf
 from .transform import MuculantSeq
 
 _INT64 = np.iinfo(np.int64)
+_MAX_DOUBLE = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
 _FLOAT_FORMAT = ".17g"  # 17 significant digits: every double round-trips
 
 
 def format_number(x) -> str:
-    """Render one number: 17 significant digits for floats, plain for ints."""
+    """Render one number: 17 significant digits for floats, plain for ints.
+    Anything else (a string, None, a list, ...) is refused."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if not isinstance(x, (float, np.floating)):
+        raise ValueError(f"not a number in output: {x!r}")
     v = float(x)
     if not math.isfinite(v):
         raise ValueError(f"non-finite value in output: {v!r}")
     return format(v, _FLOAT_FORMAT)
 
 
-def _format_floats(items: list):
-    """``format_number`` of each item when every item is a Python float, in
-    one finiteness pass and one formatting pass; None for any other list
-    (empty, or holding ints, bools, numpy scalars, strings, ...)."""
+def _format_list(x) -> list[str]:
+    """``format_number`` of each entry of a list, tuple or array; Python
+    floats alone (as a float array's ``tolist`` gives) take one finiteness
+    pass and one formatting pass."""
+    items = x.tolist() if isinstance(x, np.ndarray) else x
     if set(map(type, items)) != {float}:
-        return None
+        return list(map(format_number, items))
     if not all(map(math.isfinite, items)):
         format_number(next(v for v in items if not math.isfinite(v)))  # raises
     return list(map(format, items, repeat(_FLOAT_FORMAT)))
-
-
-def _items(x) -> list:
-    """The entries of a list, tuple or array; arrays give Python scalars."""
-    return x.tolist() if isinstance(x, np.ndarray) else list(x)
 
 
 def dumps_json(obj) -> str:
@@ -67,17 +67,7 @@ def _emit(x, depth, out) -> None:
             out.append(",\n" if i < len(x) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(x, (list, tuple, np.ndarray)):
-        items = _items(x)
-        numbers = _format_floats(items)
-        if numbers is not None:
-            out.append("[" + ", ".join(numbers) + "]")
-            return
-        out.append("[")
-        for i, val in enumerate(items):
-            if i:
-                out.append(", ")
-            _emit(val, depth + 1, out)
-        out.append("]")
+        out.append("[" + ", ".join(_format_list(x)) + "]")
     elif isinstance(x, str):
         # our strings are identifiers; no escapes needed beyond the quote
         if '"' in x or "\\" in x or any(ord(c) < 0x20 for c in x):
@@ -90,7 +80,8 @@ def _emit(x, depth, out) -> None:
 
 
 def flat_csv(d: dict) -> str:
-    """field,value rows; nested keys joined with '.', list entries as key[i]."""
+    """field,value rows; nested keys joined with '.', list entries (numbers)
+    as key[i]."""
     lines = ["field,value"]
 
     def walk(prefix, val):
@@ -98,13 +89,7 @@ def flat_csv(d: dict) -> str:
             for key, sub in val.items():
                 walk(f"{prefix}.{key}" if prefix else key, sub)
         elif isinstance(val, (list, tuple, np.ndarray)):
-            items = _items(val)
-            numbers = _format_floats(items)
-            if numbers is not None:
-                lines.extend([f"{prefix}[{i}],{s}" for i, s in enumerate(numbers)])
-                return
-            for i, sub in enumerate(items):
-                walk(f"{prefix}[{i}]", sub)
+            lines.extend([f"{prefix}[{i}],{s}" for i, s in enumerate(_format_list(val))])
         elif isinstance(val, str):
             # a comma or a line break would add a column or a row
             if "," in val or "\n" in val or "\r" in val:
@@ -121,11 +106,8 @@ def flat_csv(d: dict) -> str:
 
 def indexed_csv(label: str, indices, values) -> str:
     """Two-column rendering of an indexed sequence (n,value / xi,value / ...)."""
-    index = list(map(int, _items(indices)))
-    values = _items(values)[: len(index)]
-    numbers = _format_floats(values)
-    if numbers is None:
-        numbers = list(map(format_number, values))
+    index = np.asarray(indices, dtype=np.int64).tolist()
+    numbers = _format_list(values[: len(index)])
     lines = [f"{label},value"]
     lines.extend([f"{i},{s}" for i, s in zip(index, numbers)])
     return "\n".join(lines) + "\n"
@@ -151,12 +133,16 @@ def _integer_field(d: dict, field: str) -> int:
 
 
 def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    """The one JSON number rule: an int or float, not a bool, and no integer
+    beyond the largest double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return not isinstance(value, int) or abs(value) <= _MAX_DOUBLE
 
 
 def _number_field(d: dict, field: str) -> float:
-    """``d[field]`` (0.0 when absent) when it is a number; a bool or string
-    is refused rather than coerced."""
+    """``d[field]`` (0.0 when absent) when it is a number; a bool, string
+    or integer beyond the largest double is refused rather than coerced."""
     value = d.get(field, 0.0)
     if not _is_number(value):
         raise ValueError(f'"{field}" must be a number, got {value!r}')
@@ -164,11 +150,12 @@ def _number_field(d: dict, field: str) -> float:
 
 
 def _number_list(d: dict, field: str):
-    """``d[field]``; a list entry that is not a number (a bool, string, null
-    or list) is refused by its index rather than coerced.  The vector
-    checks (shape, length, finiteness) stay with the validating class."""
+    """``d[field]``; a list entry that is not a number (a bool, string, null,
+    list, or an integer beyond the largest double) is refused by its index
+    rather than coerced.  The vector checks (shape, length, finiteness)
+    stay with the validating class."""
     values = d[field]
-    if isinstance(values, list) and not set(map(type, values)) <= {float, int}:
+    if isinstance(values, list) and not set(map(type, values)) <= {float}:
         for i, value in enumerate(values):
             if not _is_number(value):
                 raise ValueError(f'"{field}"[{i}] must be a number, got {value!r}')
@@ -266,12 +253,13 @@ def read_samples(path) -> np.ndarray:
     each ending in ``\\n``, the last one optionally) is parsed with numpy
     straight from the bytes.  Any other file (comments, blank lines, CR,
     spaces, ``+``, ``_``, non-ASCII bytes, 19 or more digits, ...) takes
-    the text route, which is the only one that names a bad line.
+    the text route, which is the only one that names a bad line.  The file
+    is read once, as bytes, on either route.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     values = _parse_canonical(data)
-    return _read_samples_text(path) if values is None else values
+    return _read_samples_text(path, data) if values is None else values
 
 
 # A canonical line holds at most 18 digits, so every value fits in int64.
@@ -327,10 +315,11 @@ def _parse_canonical(data: bytes):
     return out
 
 
-def _read_samples_text(path) -> np.ndarray:
-    """``read_samples`` for any file, by ``int()`` on each line."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()  # text mode already maps \r\n and \r to \n
+def _read_samples_text(path, data: bytes) -> np.ndarray:
+    """``read_samples`` for the bytes ``data`` of any file, by ``int()`` on
+    each line; ``path`` names the file in messages."""
+    # UTF-8 with \r\n and \r mapped to \n, as text mode reads a file
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]

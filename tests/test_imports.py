@@ -24,8 +24,11 @@ No linter ships with the test dependencies, so these are small stdlib-only
   ``charfn.fold_indices``, adds one slice per wrap of the support (the
   tests keep ``np.add.at`` as its reference);
 - the number format has one home: the text ``.17g`` occurs exactly once in
-  the package, so ``io.format_number`` and the batch formatter beside it
-  cannot drift apart.
+  the package, so ``io.format_number`` and the list renderer beside it
+  cannot drift apart;
+- the log kernel owns its chunking: ``_CHUNK_POINTS`` and ``_workspace``
+  are read only in ``transform.py``, where ``_log_coefficients`` runs its
+  own chunk loop.
 """
 
 import ast
@@ -220,3 +223,9 @@ def test_no_add_at_in_the_package():
 def test_the_number_format_has_one_home():
     counts = {p.name: p.read_text().count(".17g") for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == {"io.py": 1}
+
+
+def test_the_log_kernel_owns_its_chunking():
+    for name in ("_CHUNK_POINTS", "_workspace"):
+        reads = {p.name: name_uses(p.read_text(), name) for p in PACKAGE.glob("*.py")}
+        assert [module for module, lines in reads.items() if lines] == ["transform.py"], name

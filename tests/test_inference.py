@@ -30,8 +30,9 @@ from muculants.charfn import (
     unwrap_phase,
 )
 import muculants.inference as inference
+import muculants.transform as transform
 from muculants.inference import replicate_statistics
-from muculants.transform import _log_coefficients, _workspace
+from muculants.transform import _log_coefficients
 
 from support import reference_log_coefficients
 
@@ -365,66 +366,67 @@ def log_kernel_cases():
         yield "ties", tied_histograms(rng, 60), 0, FrequencyGrid(n), 8, 1e-3, True
 
 
-def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit():
+def chunk_settings(n_points, rows):
+    """_CHUNK_POINTS values that run ``rows`` rows one row per chunk, in
+    chunks of the default size, and in one chunk."""
+    return (n_points, transform._CHUNK_POINTS, rows * n_points)
+
+
+def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
+    # one row per chunk reuses the workspace, left dirty, for every row
     dropped = kept = 0
     for label, weights, offset, grid, n_max, floor, histogram in log_kernel_cases():
         want_coef, want_min = reference_log_coefficients(
             weights, offset, grid, n_max, floor, histogram=histogram
         )
-        rows, width = weights.shape
-        # a workspace larger than needed and a result, both left dirty
-        work = _workspace(rows + 3, grid.n_points, width)
-        for buffer in work:
-            buffer.fill(np.nan)
-        out = np.full((rows, 2 * n_max + 1), 7.0)
-        fresh = _log_coefficients(weights, offset, grid, n_max, floor, histogram=histogram)
-        reused = _log_coefficients(
-            weights, offset, grid, n_max, floor, work, out, histogram=histogram
-        )
-        assert reused[0] is out
-        for coef, min_abs in (fresh, reused):
-            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points)
-            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points)
+        for points in chunk_settings(grid.n_points, len(weights)):
+            monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
+            coef, min_abs = _log_coefficients(
+                weights, offset, grid, n_max, floor, histogram=histogram
+            )
+            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points, points)
+            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points, points)
         dropped += int(np.isnan(want_coef[:, 0]).sum())
         kept += int(np.isfinite(want_coef[:, 0]).sum())
     assert dropped >= 100 and kept >= 300
 
 
 def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
-    # with its workspace and result given, a chunk whose rows the floor all
-    # keeps allocates the rfft and irfft outputs and a few per-row vectors:
-    # no other rows x N array
+    # a one-chunk call allocates its workspace, its result, the rfft and
+    # irfft outputs and a few per-row vectors: no other rows x N array; a
+    # second chunk adds only its result rows, as the first chunk's
+    # transform outputs are freed before it allocates its own
     grid = FrequencyGrid(512)
     pmf = zoo_pmf(Geometric(0.25))
-    counts = np.random.default_rng(62).multinomial(10_000, pmf.probs, size=32)
-    work = _workspace(32, 512, counts.shape[-1])
-    out = np.empty((32, 17))
-    folded, log = work[1], work[3]
+    counts = np.random.default_rng(62).multinomial(10_000, pmf.probs, size=64)
+    assert transform._CHUNK_POINTS // 512 == 32
+    folded, log = np.zeros((32, 512)), np.zeros((32, 257), dtype=complex)
+    results = []
     tracemalloc.start()
     try:
         footprints = []
         for call in (
+            lambda: transform._workspace(32, 512, counts.shape[-1]),
             lambda: np.fft.rfft(folded),
             lambda: (np.fft.rfft(folded), np.fft.irfft(log, 512)),
-            lambda: _log_coefficients(counts, 0, grid, 8, 1e-3, work, out, histogram=True),
+            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8, 1e-3, histogram=True)),
+            lambda: results.append(_log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)),
         ):
             call()  # warm
+            results.clear()
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             call()
             footprints.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert np.isfinite(out).all()
-    transforms = max(footprints[:2])
+    assert np.isfinite(results[-1][0]).all()
+    workspace, transforms = footprints[0], max(footprints[1:3])
+    one_chunk, two_chunks = footprints[3:]
     halves = 32 * 257 * 8  # one float array over mu = 0..pi
-    assert footprints[2] < transforms + halves // 4, footprints
-
-
-def chunk_settings(n_points, rows):
-    """_CHUNK_POINTS values that run ``rows`` replicates one row per chunk,
-    in chunks of the default size, and in one chunk."""
-    return (n_points, inference._CHUNK_POINTS, rows * n_points)
+    result = 32 * (17 + 1) * 8  # coefficients and smallest |Phi| of 32 rows
+    assert one_chunk < workspace + transforms + result + halves // 4, footprints
+    assert two_chunks < one_chunk + halves // 4, footprints
 
 
 @pytest.mark.parametrize(
@@ -437,7 +439,7 @@ def chunk_settings(n_points, rows):
 def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
     x = draw(np.random.default_rng(41))
     assert grid_for_samples(x, 8).n_points == n_points
-    assert 1000 % (inference._CHUNK_POINTS // n_points) != 0  # the last chunk is partial
+    assert 1000 % (transform._CHUNK_POINTS // n_points) != 0  # the last chunk is partial
     seen = []
 
     def recording(*args):
@@ -447,7 +449,7 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
     monkeypatch.setattr(inference, "replicate_statistics", recording)
     results = []
     for points in chunk_settings(n_points, 1000):
-        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
         results.append(poisson_test(x, seed=3))
     stats = [s.tobytes() for s in seen]
     assert len(stats) == 3 and stats[1:] == stats[:-1]
@@ -466,7 +468,7 @@ def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     alternating = counts[np.column_stack([kept[:pairs], dropped[:pairs]]).ravel()]
     stats = []
     for points in chunk_settings(128, len(alternating)):
-        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
         stats.append(replicate_statistics(alternating, 0, grid, (-8, 8)))
     np.testing.assert_array_equal(np.isnan(stats[0]), np.arange(2 * pairs) % 2 == 1)
     assert stats[1].tobytes() == stats[0].tobytes() == stats[2].tobytes()
@@ -474,18 +476,18 @@ def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
 
 def test_replicate_statistics_builds_one_workspace_per_call(monkeypatch):
     built = []
-    workspace = inference._workspace
+    workspace = transform._workspace
 
     def spy(rows, n, width):
         built.append((rows, n))
         return workspace(rows, n, width)
 
-    monkeypatch.setattr(inference, "_workspace", spy)
+    monkeypatch.setattr(transform, "_workspace", spy)
     pmf = zoo_pmf(Poisson(3.0))
     counts = np.random.default_rng(43).multinomial(10_000, pmf.probs, size=1000)
-    default_rows = inference._CHUNK_POINTS // 128
+    default_rows = transform._CHUNK_POINTS // 128
     for points, rows in zip(chunk_settings(128, 1000), (1, default_rows, 1000)):
-        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
         built.clear()
         replicate_statistics(counts, pmf.offset, FrequencyGrid(128), (-8, 8))
         assert built == [(rows, 128)]

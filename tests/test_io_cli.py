@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,12 @@ def test_format_number_rejects_non_finite():
         format_number(float("nan"))
     with pytest.raises(ValueError):
         format_number(float("inf"))
+
+
+@pytest.mark.parametrize("value", ["1.5", None, [1.0], {"a": 1}, 1 + 2j], ids=repr)
+def test_format_number_refuses_what_is_not_a_number(value):
+    with pytest.raises(ValueError, match="^not a number in output: "):
+        format_number(value)
 
 
 def test_json_output_is_standard_json():
@@ -182,6 +189,19 @@ def test_batched_rendering_refuses_the_first_non_finite_entry(xs, bad):
             render()
 
 
+@pytest.mark.parametrize("entry", ["1.5", None, [1.0], {"a": 1}], ids=repr)
+def test_list_entries_that_are_not_numbers_are_refused(entry):
+    for xs in ([entry], [0.5, entry], [1, entry]):
+        for render in (
+            lambda: dumps_json({"v": xs}),
+            lambda: flat_csv({"v": xs}),
+            lambda: indexed_csv("n", range(len(xs)), xs),
+        ):
+            message = rf"^not a number in output: {re.escape(repr(entry))}$"
+            with pytest.raises(ValueError, match=message):
+                render()
+
+
 def test_lists_of_bools_and_ints_render_per_entry():
     doc = {"v": [True, 2, 2.5, False], "w": [3, -4], "e": []}
     assert dumps_json(doc) == '{\n  "v": [true, 2, 2.5, false],\n  "w": [3, -4],\n  "e": []\n}\n'
@@ -276,6 +296,12 @@ def test_read_samples_line_numbers_count_blank_and_comment_lines(tmp_path):
     assert str(exc.value) == f"{p}:6: not an integer: 'foo'"
 
 
+def _read_text_mode(path):
+    """The text route on the file as text mode reads it (UTF-8, universal
+    newlines): the reference for the reader's own decoding of the bytes."""
+    return _read_samples_text(path, Path(path).read_text(encoding="utf-8").encode("utf-8"))
+
+
 def _read_outcome(read, path):
     """The array a reader returns (dtype and values), or its exception."""
     try:
@@ -319,7 +345,7 @@ def test_read_samples_routes_agree(tmp_path_factory, lines, final_newline, bom, 
     p = tmp_path_factory.mktemp("routes") / "xs.txt"
     p.write_bytes(_sample_file(lines, final_newline, bom))
     with mock.patch.object(muculants.io, "_BLOCK_BYTES", block):
-        assert _read_outcome(read_samples, p) == _read_outcome(_read_samples_text, p)
+        assert _read_outcome(read_samples, p) == _read_outcome(_read_text_mode, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,7 +361,7 @@ def test_canonical_files_take_the_array_route(tmp_path_factory, lines, final_new
     with mock.patch.object(muculants.io, "_BLOCK_BYTES", block):
         got = _parse_canonical(data)
     assert got is not None and got.dtype == np.int64
-    assert got.tolist() == _read_samples_text(p).tolist() == [int(line) for line in lines]
+    assert got.tolist() == _read_samples_text(p, data).tolist() == [int(line) for line in lines]
 
 
 @pytest.mark.parametrize(
@@ -349,6 +375,23 @@ def test_canonical_files_take_the_array_route(tmp_path_factory, lines, final_new
 )
 def test_other_files_take_the_text_route(data):
     assert _parse_canonical(data) is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"1\r\n-2\r\n3\r\n", b"1\r-2\r\r3", b"1\r\r\n\n2\r", b"\xef\xbb\xbf1\n2\n",
+        "1\n2\x85\n3\u2028\n".encode(), "1\x0c\n\x0c2\n".encode(), "1\x852\n".encode(),
+        b"\xff1\n2\n", b"1\n" * 50_000 + b"\xfe\n", b"1\r\n" * 40_000 + b"x\r\n",
+    ],
+    ids=lambda data: repr(data[:12]) + f"..{len(data)}",
+)
+def test_read_samples_decodes_as_text_mode_does(tmp_path, data):
+    # CRLF, lone CR, BOM, NEL, U+2028, form feed, invalid UTF-8 at byte 0
+    # and at byte 100,000, a bad line far down: same values or same error
+    p = tmp_path / "xs.txt"
+    p.write_bytes(data)
+    assert _read_outcome(read_samples, p) == _read_outcome(_read_text_mode, p)
 
 
 def test_read_samples_routes_agree_across_blocks(tmp_path):
@@ -506,6 +549,18 @@ def test_cli_cumulants_exact_for_geometric(capsys):
     )
     assert code == 0
     assert json.loads(out)["values"] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "k_max, code, error", [("173", 1, "TruncationUnsafe"), ("200", 2, "ValueError")]
+)
+def test_cli_cumulants_of_a_huge_order_exits_with_an_error_line(capsys, tmp_path, k_max, code, error):
+    # 60^200 overflows a double: an error line, not a traceback
+    p = tmp_path / "law.json"
+    p.write_text(dumps_json(pmf_to_dict(zoo_pmf(Poisson(2.0)))))
+    got, out, err = run_cli(capsys, "cumulants", "--input", str(p), "--k-max", k_max)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
 def test_cli_reconstruct_round_trip(capsys):
@@ -755,7 +810,12 @@ def test_cli_refuses_json_indices_that_are_not_integers(capsys, tmp_path, comman
     assert err == f'error: ValueError: "{field}" must be an integer, got {value!r}\n'
 
 
-@pytest.mark.parametrize("value", [True, "0.5", None, [0.5]], ids=repr)
+_HUGE = 10**400  # a JSON integer no double holds
+
+
+@pytest.mark.parametrize(
+    "value", [True, "0.5", None, [0.5], _HUGE, -_HUGE], ids=lambda v: repr(v)[:12]
+)
 def test_float_fields_refuse_what_json_numbers_are_not(value):
     pmf = {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": value}
     with pytest.raises(ValueError, match='"tail_mass_bound" must be a number'):
@@ -797,6 +857,9 @@ def test_float_fields_accept_json_numbers():
         ("cumulants", {"offset": 0, "probs": [0.7, [0.3]]}, "probs"),
         ("reconstruct", {"kind": "complex", "n_min": 0, "n_max": 1, "values": [False, True]}, "values"),
         ("reconstruct", {"kind": "complex", "n_min": 0, "n_max": 1, "values": [-0.5, "0.5"]}, "values"),
+        ("muculants", {"offset": 0, "probs": [_HUGE, 0.5]}, "probs"),
+        ("muculants", {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": _HUGE}, "tail_mass_bound"),
+        ("reconstruct", {"kind": "complex", "n_min": 0, "n_max": 1, "values": [0.5, -_HUGE]}, "values"),
     ],
 )
 def test_cli_refuses_json_float_fields_that_are_not_numbers(capsys, tmp_path, command, doc, field):
@@ -807,7 +870,8 @@ def test_cli_refuses_json_float_fields_that_are_not_numbers(capsys, tmp_path, co
     assert (code, out) == (2, "")
     value, name = doc[field], f'"{field}"'
     if isinstance(value, list):  # an array field names its first entry that is not a number
-        i = next(i for i, v in enumerate(value) if isinstance(v, (bool, str, list, type(None))))
+        refused = lambda v: v is None or isinstance(v, (bool, str, list)) or abs(v) > 1e308  # noqa: E731
+        i = next(i for i, v in enumerate(value) if refused(v))
         value, name = value[i], f"{name}[{i}]"
     assert err == f"error: ValueError: {name} must be a number, got {value!r}\n"
 

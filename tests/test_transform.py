@@ -619,6 +619,20 @@ def test_slow_tail_blocks_the_bridge():
         cumulants_from_muculants(m, 3)
 
 
+def test_bridge_refuses_an_order_whose_weights_overflow():
+    # 60^173 is a double and 60^174 is not: orders below the overflow keep
+    # their values
+    m = zoo_muculants(Poisson(2.0), (-60, 60))
+    assert cumulants_from_muculants(m, 20).values.tolist() == [2.0] * 20
+    assert cumulants_from_muculants(m, 173).values.tolist() == [2.0] * 173
+    for k_max in (174, 200, 10**4):
+        with pytest.raises(ValueError, match=rf"^k_max {k_max} is too large: 60\^{k_max} overflows"):
+            cumulants_from_muculants(m, k_max)
+    # a noisy tail meets the tail guard before any overflow
+    with pytest.raises(TruncationUnsafe):
+        cumulants_from_muculants(zoo_muculants(Degenerate(2), (-60, 60)), 173)
+
+
 def test_bridge_rejects_power_kind():
     p = power_muculants(eval_charfn(validate_pmf(0, [0.6, 0.4]), FrequencyGrid(64)), 5)
     with pytest.raises(ValueError):
