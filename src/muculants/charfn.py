@@ -20,6 +20,10 @@ MAX_GRID_POINTS = 1 << 24
 # |charfn| below this and the complex log is numerically undefined.
 VANISH_TOL = 1e-8
 
+# Floor for a charfn estimated from draws: below it the sample spread is too
+# heavy for the sample size and the coefficient estimates are sampling noise.
+EMPIRICAL_FLOOR = 1e-3
+
 # Hermitian-symmetry slack for sampled charfns.
 _HERMITIAN_TOL = 1e-10
 
@@ -277,13 +281,20 @@ def unwrap_in_place(phase: np.ndarray, steps: np.ndarray) -> None:
     phase[..., 1:] += steps
 
 
-def require_modulus(values, floor: float) -> tuple[np.ndarray, float]:
+def vanishing_floor(empirical: bool) -> float:
+    """The smallest |charfn| whose log counts: 1e-3 for a charfn estimated
+    from draws, 1e-8 for an exact or reconstructed one."""
+    return EMPIRICAL_FLOOR if empirical else VANISH_TOL
+
+
+def require_modulus(values, empirical: bool = False) -> tuple[np.ndarray, float]:
     """The moduli of charfn samples and their minimum.
 
-    Raises :class:`CharFnVanishes` when that minimum falls below ``floor``:
-    the log is numerically undefined there, or, for an empirical charfn,
-    pure noise.
+    Raises :class:`CharFnVanishes` when that minimum falls below the
+    :func:`vanishing_floor`: the log is numerically undefined there, or,
+    for an ``empirical`` charfn, pure noise.
     """
+    floor = vanishing_floor(empirical)
     mods = np.abs(values)
     min_abs = float(mods.min())
     if min_abs < floor:
@@ -299,7 +310,7 @@ def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     and extended to negative mu by odd symmetry.  That preserves the
     Hermitian structure exactly, which is what makes the downstream
     coefficients real.  Raises :class:`CharFnVanishes` when any sample
-    modulus falls below ``VANISH_TOL`` (1e-8).
+    modulus falls below the :func:`vanishing_floor` of its source.
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
     p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at
@@ -308,7 +319,7 @@ def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     into the analysis and a pi/N imaginary residue downstream.
     """
     v = samples.values
-    mods, min_abs = require_modulus(v, VANISH_TOL)
+    mods, min_abs = require_modulus(v, samples.source == "empirical")
     n = v.shape[-1]
     half = np.concatenate([v[n // 2 :], v[:1]])  # mu = 0, ..., pi
     ph = unwrap_phase(np.angle(half))

@@ -8,23 +8,10 @@ import argparse
 import sys
 
 from . import __version__
-from .charfn import (
-    FrequencyGrid,
-    complex_log,
-    empirical_charfn,
-    eval_charfn,
-    grid_for_pmf,
-    require_modulus,
-)
+from .charfn import FrequencyGrid, complex_log, empirical_charfn, eval_charfn, grid_for_pmf
 from .decompose import decompose
 from .errors import MuculantError
-from .inference import (
-    EMPIRICAL_FLOOR,
-    estimate_muculants,
-    grid_for_samples,
-    poisson_test,
-    require_sample_size,
-)
+from .inference import estimate_muculants, grid_for_samples, poisson_test, require_sample_size
 from .io import (
     cumulants_to_dict,
     decomposition_to_dict,
@@ -156,7 +143,6 @@ def _cmd_power_muculants(args) -> int:
         grid = _grid(args, value, grid_for_samples)
         require_sample_size(len(value))
         cf = empirical_charfn(value, grid)
-        require_modulus(cf.values, EMPIRICAL_FLOOR)
     _print_muculants(args, power_muculants(cf, args.n_max))
     return 0
 
@@ -292,16 +278,25 @@ def _build_parser() -> argparse.ArgumentParser:
         grid=False,
         n_max=None,
     )
-    p.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
+    test = poisson_test.__kwdefaults__  # the library's defaults, stated once
     p.add_argument(
-        "--bootstrap", type=int, default=1000, metavar="B", help="replicates (default 1000)"
+        "--alpha", type=float, default=test["alpha"], help="test level (default %(default)s)"
     )
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed (default 0)")
+    p.add_argument(
+        "--bootstrap",
+        type=int,
+        default=test["n_bootstrap"],
+        metavar="B",
+        help="replicates (default %(default)s)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=test["seed"], help="bootstrap seed (default %(default)s)"
+    )
     p.add_argument(
         "--window",
-        default="-8:8",
+        default="{}:{}".format(*test["window"]),
         metavar="LO:HI",
-        help="statistic window, indices 0 and 1 excluded (default -8:8)",
+        help="statistic window, indices 0 and 1 excluded (default %(default)s)",
     )
     return parser
 

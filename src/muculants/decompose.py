@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import (
-    VANISH_TOL,
-    FrequencyGrid,
-    grid_for_pmf,
-    require_modulus,
-    require_resolution,
-    support_width,
-)
+from .charfn import FrequencyGrid, grid_for_pmf, require_modulus, require_resolution, support_width
 from .errors import PreconditionViolated, SupportTooSmall
 from .pmf import PMF, SignedSequence
 from .transform import MuculantSeq, _log_coefficients, reconstruct_sequence
@@ -80,8 +73,8 @@ def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decom
     if grid is None:
         grid = grid_for_pmf(f, n_max)
     require_resolution(f.offset, f.offset + len(f) - 1, grid)
-    coef, min_abs = _log_coefficients(f.probs[None], f.offset, grid, n_max, VANISH_TOL)
-    require_modulus(min_abs, VANISH_TOL)
+    coef, min_abs = _log_coefficients(f.probs[None], f.offset, grid, n_max)
+    require_modulus(min_abs)
     c = coef[0]
     minphase = minphase_from_power(MuculantSeq(-n_max, n_max, c + c[::-1], "power", 0.0))
     allpass = MuculantSeq(-n_max, n_max, c - minphase.values, "complex", 0.0)

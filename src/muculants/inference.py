@@ -14,10 +14,6 @@ from .charfn import FrequencyGrid, integer_samples, require_modulus, require_res
 from .errors import CharFnVanishes, NegativeSampleValue
 from .transform import MuculantSeq, _log_coefficients
 
-# Empirical charfn floor: below this the sample spread is too heavy for the
-# sample size and the coefficient estimates are unusable.
-EMPIRICAL_FLOOR = 1e-3
-
 MIN_SAMPLE_SIZE = 100
 
 DEFAULT_WINDOW = (-8, 8)
@@ -81,8 +77,8 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     lo = int(xi.min())
     require_resolution(lo, int(xi.max()), grid)
     counts = np.bincount(xi - lo)[None]
-    coef, min_abs = _log_coefficients(counts, lo, grid, n_max, EMPIRICAL_FLOOR, histogram=True)
-    require_modulus(min_abs, EMPIRICAL_FLOOR)  # the smallest |Phi| is its own modulus
+    coef, min_abs = _log_coefficients(counts, lo, grid, n_max, histogram=True)
+    require_modulus(min_abs, empirical=True)  # the smallest |Phi| is its own modulus
     return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
 
 
@@ -132,7 +128,7 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     require_sample_size(counts.sum(axis=-1))
     mask = _window_mask(window)
     n_max = len(mask) // 2
-    coef, _ = _log_coefficients(counts, offset, grid, n_max, EMPIRICAL_FLOOR, histogram=True)
+    coef, _ = _log_coefficients(counts, offset, grid, n_max, histogram=True)
     # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
     return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 

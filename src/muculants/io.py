@@ -254,7 +254,8 @@ def read_samples(path) -> np.ndarray:
     straight from the bytes.  Any other file (comments, blank lines, CR,
     spaces, ``+``, ``_``, non-ASCII bytes, 19 or more digits, ...) takes
     the text route, which is the only one that names a bad line.  The file
-    is read once, as bytes, on either route.
+    is read once, as bytes, on either route; the text route decodes them by
+    :func:`_decode_text`, so a leading BOM is dropped.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -318,8 +319,7 @@ def _parse_canonical(data: bytes):
 def _read_samples_text(path, data: bytes) -> np.ndarray:
     """``read_samples`` for the bytes ``data`` of any file, by ``int()`` on
     each line; ``path`` names the file in messages."""
-    # UTF-8 with \r\n and \r mapped to \n, as text mode reads a file
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = _decode_text(path, data)
     lines = text.split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -343,11 +343,47 @@ def _read_samples_text(path, data: bytes) -> np.ndarray:
         raise
 
 
+def _decode_text(path, data: bytes) -> str:
+    """The text of a file's bytes: UTF-8 with one leading BOM dropped, and
+    ``\\r\\n`` and ``\\r`` mapped to ``\\n`` (as text mode reads a file).
+    ValueError names the line of the first byte that is not UTF-8."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # positions count from after the BOM, which holds no line break
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``pairs`` as a dict; ValueError for a repeated key,
+    where ``json`` would let the last value win."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f'"{key}" appears twice')
+        payload[key] = value
+    return payload
+
+
 def read_json(path) -> dict:
+    """The JSON object in a file, decoded by :func:`_decode_text`.
+    ValueError names the file, and the line and column of a parse error;
+    a key repeated in any object is refused."""
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:
+        text = _decode_text(path, fh.read())
+    try:
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # a repeated key, or an integer too long for int()
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return payload

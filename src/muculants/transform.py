@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
-    VANISH_TOL,
     CharFnSamples,
     FrequencyGrid,
     LogCharFnSamples,
@@ -21,6 +20,7 @@ from .charfn import (
     span_width,
     support_width,
     unwrap_in_place,
+    vanishing_floor,
 )
 from .errors import (
     ImagResidualTooLarge,
@@ -120,9 +120,9 @@ def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
     """Coefficients of ln |Phi|^2 for n in [-n_max, n_max].
 
     Phase-free, hence computable whenever the modulus stays above the
-    vanishing floor; even about zero by symmetry of |Phi|.
+    :func:`vanishing_floor` of its source; even about zero by symmetry of |Phi|.
     """
-    mods, _ = require_modulus(cf.values, VANISH_TOL)
+    mods, _ = require_modulus(cf.values, cf.source == "empirical")
     vals, resid = _real_coefficients(2.0 * np.log(mods), n_max)
     vals = 0.5 * (vals + vals[::-1])  # exact evenness against fp drift
     return MuculantSeq(-n_max, n_max, vals, "power", resid)
@@ -167,7 +167,7 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     if not is_minimum_phase(f):
         raise NotApplicable("PMF is not minimum phase")
     n = FrequencyGrid.for_width(support_width(f)).n_points
-    require_modulus(np.fft.rfft(fold_indices(f.probs, 0, n)), VANISH_TOL)  # |Phi| on mu = 0..pi
+    require_modulus(np.fft.rfft(fold_indices(f.probs, 0, n)))  # |Phi| on mu = 0..pi
     taps = len(f) - 1
     block = min(_BLOCK, n_max + 1)
     a = np.zeros(n_max + block + taps + 1)  # zero-padded past the support
@@ -218,12 +218,12 @@ def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _log_coefficients(weights, offset, grid, n_max, floor, *, histogram=False):
+def _log_coefficients(weights, offset, grid, n_max, *, histogram=False):
     """Coefficients c[-n_max..n_max] of log Phi for each row of ``weights``
-    (NaN in rows whose |Phi| dips below ``floor``), and each row's smallest
-    |Phi|.  Row r weighs ``offset``, ``offset + 1``, ...: PMF probabilities
-    as they are, or with ``histogram`` counts of draws, divided by their row
-    sum and with Phi(0) set to exactly 1.
+    (NaN in rows whose |Phi| dips below its :func:`vanishing_floor`), and
+    each row's smallest |Phi|.  Row r weighs ``offset``, ``offset + 1``,
+    ...: PMF probabilities as they are, or with ``histogram`` counts of
+    draws (floor 1e-3), divided by their row sum, Phi(0) set to exactly 1.
 
     Phi is Hermitian, so one rfft of the folded weights gives conj(Phi) on
     mu in [0, pi]; its log, the phase unwrapped from mu = 0, goes through
@@ -241,11 +241,11 @@ def _log_coefficients(weights, offset, grid, n_max, floor, *, histogram=False):
     min_abs = np.empty(rows)
     for lo in range(0, rows, chunk):
         part = slice(lo, lo + chunk)
-        _log_chunk(weights[part], offset, n, floor, histogram, work, out[part], min_abs[part])
+        _log_chunk(weights[part], offset, n, histogram, work, out[part], min_abs[part])
     return out, min_abs
 
 
-def _log_chunk(weights, offset, n, floor, histogram, work, out, min_abs) -> None:
+def _log_chunk(weights, offset, n, histogram, work, out, min_abs) -> None:
     """:func:`_log_coefficients` of the rows of ``weights`` into ``out`` and
     ``min_abs``, through the buffers ``work``.  Over the grid it allocates
     only the two transforms' outputs, freed on return, and when the floor
@@ -260,7 +260,7 @@ def _log_chunk(weights, offset, n, floor, histogram, work, out, min_abs) -> None
     if histogram:
         spec[:, 0] = 1.0  # exact by construction
     np.abs(spec, out=mods).min(axis=-1, out=min_abs)
-    keep = min_abs >= floor
+    keep = min_abs >= vanishing_floor(histogram)
     out[~keep] = np.nan
     k = int(np.count_nonzero(keep))
     if k:

@@ -284,7 +284,8 @@ _FAMILIES = {
 
 
 def parse_spec(text: str) -> DistributionSpec:
-    """Parse strings like ``poisson:lambda=2`` or ``binomial:n=5,p=0.2``."""
+    """Parse strings like ``poisson:lambda=2`` or ``binomial:n=5,p=0.2``;
+    each parameter is given exactly once."""
     name, _, argtext = text.partition(":")
     name = name.strip().lower()
     if name not in _FAMILIES:
@@ -299,14 +300,12 @@ def parse_spec(text: str) -> DistributionSpec:
         if not eq or key not in schema:
             raise ValueError(f"bad parameter {item!r} for family {name!r}")
         field_name, conv = schema[key]
+        if field_name in kwargs:
+            raise ValueError(f"parameter {key!r} given twice")
         try:
-            if conv is int:
-                value = int(raw)
-            else:
-                value = float(raw)
+            kwargs[field_name] = conv(raw)
         except ValueError:
             raise ValueError(f"parameter {key!r} has non-numeric value {raw!r}") from None
-        kwargs[field_name] = value
     missing = {f for f, _ in schema.values()} - set(kwargs)
     if missing:
         raise ValueError(f"family {name!r} is missing parameters: {sorted(missing)}")

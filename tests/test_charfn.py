@@ -29,7 +29,7 @@ from muculants.charfn import (
     unwrap_in_place,
 )
 
-from support import random_pmf
+from support import random_pmf, sampling_noise_draw
 
 
 @pytest.mark.parametrize("n", [63, 65, 100, 32, 0])
@@ -397,3 +397,22 @@ def test_every_vanishing_floor_raises_one_message():
     with pytest.raises(CharFnVanishes) as exc:
         estimate_muculants(xi, grid_for_samples(xi), 5)
     assert str(exc.value) == "|charfn| reaches 0.000e+00, below the 1e-03 floor"
+
+
+def test_staged_route_holds_empirical_charfns_to_the_empirical_floor():
+    # |Phi_hat| dips to 8.0e-4: above the exact floor, but sampling noise,
+    # so the staged route refuses it as estimate_muculants does
+    x = sampling_noise_draw()
+    grid = grid_for_samples(x, 8)
+    cf = empirical_charfn(x, grid)
+    message = "|charfn| reaches 8.000e-04, below the 1e-03 floor"
+    for route in (
+        lambda: complex_log(cf),
+        lambda: power_muculants(cf, 8),
+        lambda: estimate_muculants(x, grid, 8),
+    ):
+        with pytest.raises(CharFnVanishes) as exc:
+            route()
+        assert str(exc.value) == message
+    # the same values held as an exact charfn meet only the 1e-8 floor
+    complex_log(CharFnSamples(grid, cf.values, "reconstructed"))

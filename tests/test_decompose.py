@@ -236,7 +236,7 @@ def test_decompose_splits_one_kernel_call():
     # ln |Phi|^2 = log Phi + conj log Phi: the power sequence is c[n] + c[-n]
     f = mirrored(zoo_pmf(NegativeBinomial(2, 0.3)))
     grid = FrequencyGrid.for_width(support_width(f), 4096, 40)
-    c = _log_coefficients(f.probs[None], f.offset, grid, 40, 1e-8)[0][0]
+    c = _log_coefficients(f.probs[None], f.offset, grid, 40)[0][0]
     d = decompose(f, 40)
     minphase = d.minphase_muculants.values
     np.testing.assert_array_equal(minphase[41:], c[41:] + c[39::-1])

@@ -28,7 +28,11 @@ No linter ships with the test dependencies, so these are small stdlib-only
   cannot drift apart;
 - the log kernel owns its chunking: ``_CHUNK_POINTS`` and ``_workspace``
   are read only in ``transform.py``, where ``_log_coefficients`` runs its
-  own chunk loop.
+  own chunk loop;
+- the vanishing floor has one home: ``VANISH_TOL`` and ``EMPIRICAL_FLOOR``
+  are assigned only in ``charfn.py``, ``cli.py`` names neither of them nor
+  ``require_modulus`` and holds no floor literal, and ``_log_coefficients``
+  takes no ``floor`` (the floor follows the provenance of the charfn).
 """
 
 import ast
@@ -229,3 +233,36 @@ def test_the_log_kernel_owns_its_chunking():
     for name in ("_CHUNK_POINTS", "_workspace"):
         reads = {p.name: name_uses(p.read_text(), name) for p in PACKAGE.glob("*.py")}
         assert [module for module, lines in reads.items() if lines] == ["transform.py"], name
+
+
+def assigned_lines(source: str, name: str) -> list[int]:
+    """Line of each assignment to the bare name ``name``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == name
+    )
+
+
+def test_checker_finds_assignments():
+    source = "A = 1\nB: float = 2\nA += 3\nx = A\nc.A = 4\n"
+    assert assigned_lines(source, "A") == [1, 3]
+    assert assigned_lines(source, "B") == [2]
+
+
+def test_the_vanishing_floor_has_one_home():
+    for name in ("VANISH_TOL", "EMPIRICAL_FLOOR"):
+        homes = {p.name: assigned_lines(p.read_text(), name) for p in PACKAGE.glob("*.py")}
+        assert [module for module, lines in homes.items() if lines] == ["charfn.py"], name
+    cli = (PACKAGE / "cli.py").read_text()
+    for name in ("VANISH_TOL", "EMPIRICAL_FLOOR", "require_modulus"):
+        assert name_uses(cli, name) == [], name
+    numbers = {n.value for n in ast.walk(ast.parse(cli)) if isinstance(n, ast.Constant)}
+    assert not numbers & {1e-3, 1e-8}
+    kernel = next(
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "transform.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_log_coefficients"
+    )
+    params = kernel.args.posonlyargs + kernel.args.args + kernel.args.kwonlyargs
+    assert "floor" not in [a.arg for a in params]

@@ -332,7 +332,7 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     # spectrum must take the same bit as the full-grid synthesis
     grid = FrequencyGrid(n_points)
     counts = tied_histograms(np.random.default_rng([7, n_points]), 120)
-    _, min_abs = _log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)
+    _, min_abs = _log_coefficients(counts, 0, grid, 8, histogram=True)
     keep = min_abs >= 1e-3
     want = [
         np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).values).min() >= 1e-3
@@ -381,9 +381,7 @@ def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
         )
         for points in chunk_settings(grid.n_points, len(weights)):
             monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
-            coef, min_abs = _log_coefficients(
-                weights, offset, grid, n_max, floor, histogram=histogram
-            )
+            coef, min_abs = _log_coefficients(weights, offset, grid, n_max, histogram=histogram)
             assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points, points)
             assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points, points)
         dropped += int(np.isnan(want_coef[:, 0]).sum())
@@ -409,8 +407,8 @@ def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
             lambda: transform._workspace(32, 512, counts.shape[-1]),
             lambda: np.fft.rfft(folded),
             lambda: (np.fft.rfft(folded), np.fft.irfft(log, 512)),
-            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8, 1e-3, histogram=True)),
-            lambda: results.append(_log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)),
+            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8, histogram=True)),
+            lambda: results.append(_log_coefficients(counts, 0, grid, 8, histogram=True)),
         ):
             call()  # warm
             results.clear()
@@ -461,7 +459,7 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
 def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     grid = FrequencyGrid(128)
     counts = tied_histograms(np.random.default_rng([7, 128]), 120)
-    keep = _log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)[1] >= 1e-3
+    keep = _log_coefficients(counts, 0, grid, 8, histogram=True)[1] >= 1e-3
     kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     pairs = min(len(kept), len(dropped))
     assert pairs >= 20

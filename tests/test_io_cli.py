@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import muculants.charfn
+import muculants.cli
 import muculants.io
 from muculants import (
     EmptySample,
@@ -297,9 +299,12 @@ def test_read_samples_line_numbers_count_blank_and_comment_lines(tmp_path):
 
 
 def _read_text_mode(path):
-    """The text route on the file as text mode reads it (UTF-8, universal
-    newlines): the reference for the reader's own decoding of the bytes."""
-    return _read_samples_text(path, Path(path).read_text(encoding="utf-8").encode("utf-8"))
+    """The text route on the file as text mode reads it (UTF-8 with a
+    leading BOM dropped, universal newlines): the reference for the reader's
+    own decoding of the bytes.  The text goes back with a BOM in front,
+    which the reader drops again."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    return _read_samples_text(path, text.encode("utf-8-sig"))
 
 
 def _read_outcome(read, path):
@@ -382,16 +387,35 @@ def test_other_files_take_the_text_route(data):
     [
         b"1\r\n-2\r\n3\r\n", b"1\r-2\r\r3", b"1\r\r\n\n2\r", b"\xef\xbb\xbf1\n2\n",
         "1\n2\x85\n3\u2028\n".encode(), "1\x0c\n\x0c2\n".encode(), "1\x852\n".encode(),
-        b"\xff1\n2\n", b"1\n" * 50_000 + b"\xfe\n", b"1\r\n" * 40_000 + b"x\r\n",
+        b"\xef\xbb\xbf\xef\xbb\xbf1\n", b"1\r\n" * 40_000 + b"x\r\n",
     ],
     ids=lambda data: repr(data[:12]) + f"..{len(data)}",
 )
 def test_read_samples_decodes_as_text_mode_does(tmp_path, data):
-    # CRLF, lone CR, BOM, NEL, U+2028, form feed, invalid UTF-8 at byte 0
-    # and at byte 100,000, a bad line far down: same values or same error
+    # CRLF, lone CR, BOM, NEL, U+2028, form feed, a second BOM (a bad
+    # line), a bad line far down: same values or same error
     p = tmp_path / "xs.txt"
     p.write_bytes(data)
     assert _read_outcome(read_samples, p) == _read_outcome(_read_text_mode, p)
+
+
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"\xff1\n2\n", 1, 0xFF),  # byte 0
+        (b"1\n" * 50_000 + b"\xfe\n", 50_001, 0xFE),  # byte 100,000
+        (b"\xef\xbb\xbf1\n2\n\xc3(\n", 3, 0xC3),  # counted past the BOM
+        (b"1\r2\r\n3\n\r\x80", 5, 0x80),  # CR, CRLF and LF each end a line
+        (b"1\n2\xe2\x82", 2, 0xE2),  # cut short at the end
+    ],
+    ids=["byte 0", "byte 100000", "past a BOM", "after CR, CRLF and LF", "cut short"],
+)
+def test_read_samples_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line, byte):
+    p = tmp_path / "xs.txt"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read_samples(p)
+    assert str(exc.value) == f"{p}:{line}: not UTF-8 text (byte 0x{byte:02x})"
 
 
 def test_read_samples_routes_agree_across_blocks(tmp_path):
@@ -661,6 +685,7 @@ _HOLDS_MUCULANTS = "error: ValueError: input already holds muculants; nothing to
 _RECONSTRUCT_NEEDS = "error: ValueError: reconstruct needs a muculant JSON input or --dist\n"
 _DECOMPOSE_NEEDS = "error: ValueError: decompose needs a PMF input (.json) or --dist\n"
 _GRID_TOO_SMALL = "error: ValueError: n_max must be in 1..16 for this grid\n"
+_LAMBDA_TWICE = "error: ValueError: parameter 'lambda' given twice\n"
 
 
 _SOURCE_REFUSALS = [
@@ -688,6 +713,23 @@ _SOURCE_REFUSALS = [
     (["cumulants", "--input", "{txt}", "--grid", "64"], _GRID_TOO_SMALL),
     (["decompose", "--input", "{pmf}", "--grid", "64"], _GRID_TOO_SMALL),
     (["decompose", "--dist", "bernoulli:p=0.3", "--grid", "64"], _GRID_TOO_SMALL),
+    # files and specs that cannot be read: the message names the file and line
+    (["muculants", "--input", "{cut}"], "error: ValueError: {cut}:1:34: Expecting ',' delimiter\n"),
+    (["decompose", "--input", "{dup}"], 'error: ValueError: {dup}: "offset" appears twice\n'),
+    (
+        ["reconstruct", "--input", "{dup_muc}", "--support", "0:5"],
+        'error: ValueError: {dup_muc}: "values" appears twice\n',
+    ),
+    (["cumulants", "--input", "{bin}"], "error: ValueError: {bin}:2: not UTF-8 text (byte 0xff)\n"),
+    (
+        ["poisson-test", "--input", "{bin_txt}"],
+        "error: ValueError: {bin_txt}:101: not UTF-8 text (byte 0xff)\n",
+    ),
+    (["zoo", "--dist", "poisson:lambda=2,lambda=5"], _LAMBDA_TWICE),
+    (
+        ["cumulants", "--dist", "binomial:n=5,p=0.2,n=7"],
+        "error: ValueError: parameter 'n' given twice\n",
+    ),
 ]
 
 
@@ -699,10 +741,22 @@ def test_cli_refuses_a_source_or_grid_it_cannot_use(capsys, tmp_path, argv, want
         "muc": tmp_path / "muc.json",
         "pmf": tmp_path / "law.json",
         "txt": tmp_path / "xs.txt",
+        "cut": tmp_path / "cut.json",
+        "dup": tmp_path / "dup.json",
+        "dup_muc": tmp_path / "dup_muc.json",
+        "bin": tmp_path / "bin.json",
+        "bin_txt": tmp_path / "bin.txt",
     }
     files["muc"].write_text(zoo_geometric_json(5))
     files["pmf"].write_text(dumps_json({"offset": 0, "probs": [0.7, 0.3]}))
     write_samples(files["txt"], [0] * 100 + [1] * 60 + [2] * 40)
+    files["cut"].write_text('{"offset": 0, "probs": [0.7, 0.3]')
+    files["dup"].write_text('{"offset": 0, "offset": 2, "probs": [0.25, 0.75]}')
+    files["dup_muc"].write_text(
+        '{"kind": "complex", "n_min": 0, "n_max": 1, "values": [0, 1], "values": [1, 0]}'
+    )
+    files["bin"].write_bytes(b'{"offset": 0,\n"probs": [0.7, 0.3]\xff}')
+    files["bin_txt"].write_bytes(files["txt"].read_bytes()[:200] + b"\xff\n")
     try:
         code = main([arg.format(**files) for arg in argv])
     except SystemExit as exc:  # argparse's usage errors
@@ -936,6 +990,52 @@ def test_cli_negative_samples(capsys, tmp_path):
 
 def zoo_geometric_json(n_max):
     return dumps_json(muculants_to_dict(zoo_muculants(Geometric(0.5), (-n_max, n_max))))
+
+
+def test_cli_reads_files_that_start_with_a_bom(capsys, tmp_path):
+    # a BOM file is not canonical: the text route drops the BOM and reads on
+    xs = np.random.default_rng(8).poisson(1.5, 500)
+    plain = {
+        ".txt": Path(write_samples(tmp_path / "xs.txt", xs)),
+        ".json": tmp_path / "law.json",
+    }
+    plain[".json"].write_text(dumps_json(pmf_to_dict(zoo_pmf(Geometric(0.7)))))
+    for argv in (
+        ("muculants", "--input", ".txt"),
+        ("power-muculants", "--input", ".txt", "--output", "csv"),
+        ("poisson-test", "--input", ".txt", "--bootstrap", "50"),
+        ("cumulants", "--input", ".json"),
+        ("decompose", "--input", ".json"),
+    ):
+        src = plain[argv[2]]
+        bom = tmp_path / f"bom{src.suffix}"
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        want = run_cli(capsys, argv[0], "--input", str(src), *argv[3:])
+        assert want[0] == 0 and want[1], (argv, want[2])
+        assert run_cli(capsys, argv[0], "--input", str(bom), *argv[3:]) == want
+
+
+def test_cli_poisson_test_defaults_are_the_library_defaults(capsys):
+    library = {
+        name: p.default
+        for name, p in inspect.signature(poisson_test).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    assert library == {"alpha": 0.05, "window": (-8, 8), "n_bootstrap": 1000, "seed": 0}
+    args = muculants.cli._PARSER.parse_args(["poisson-test", "--input", "xs.txt"])
+    parsed = {
+        "alpha": args.alpha,
+        "window": muculants.cli._parse_range(args.window, "--window"),
+        "n_bootstrap": args.bootstrap,
+        "seed": args.seed,
+    }
+    assert parsed == library
+    with pytest.raises(SystemExit):
+        main(["poisson-test", "-h"])
+    usage = " ".join(capsys.readouterr().out.split())
+    for text in ("level (default 0.05)", "replicates (default 1000)", "seed (default 0)"):
+        assert text in usage
+    assert "excluded (default -8:8)" in usage
 
 
 def test_cli_parser_is_reused_without_carrying_state(capsys):

@@ -27,6 +27,7 @@ from muculants import (
     decompose,
     eval_charfn,
     grid_analysis,
+    grid_for_samples,
     grid_synthesis,
     is_minimum_phase,
     power_muculants,
@@ -40,7 +41,7 @@ from muculants import (
 from muculants.charfn import fold_indices, span_width
 from muculants.transform import _log_coefficients
 
-from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf
+from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf, sampling_noise_draw
 
 
 # the package namespace re-exports functions under their modules' names
@@ -169,10 +170,10 @@ def test_log_kernel_takes_a_pmf_as_it_is():
     f = validate_pmf(-1, [0.3, 0.3, 0.3999995])
     assert f.tail_mass_bound > 0.0
     grid = FrequencyGrid(64)
-    got = _log_coefficients(f.probs[None], f.offset, grid, 8, 1e-8)[0][0]
+    got = _log_coefficients(f.probs[None], f.offset, grid, 8)[0][0]
     want = complex_muculants(complex_log(eval_charfn(f, grid)), 8).values
     assert np.max(np.abs(got - want)) <= 1e-15
-    scaled = _log_coefficients(f.probs[None] / f.total_mass, f.offset, grid, 8, 1e-8)[0][0]
+    scaled = _log_coefficients(f.probs[None] / f.total_mass, f.offset, grid, 8)[0][0]
     assert got[8] - scaled[8] == pytest.approx(math.log(f.total_mass), rel=1e-9)
     np.testing.assert_allclose(np.delete(got - scaled, 8), 0.0, atol=1e-15)
 
@@ -190,19 +191,24 @@ def test_log_kernel_pins_phi_at_zero_only_for_histograms(monkeypatch):
         return irfft(a, n)
 
     monkeypatch.setattr(np.fft, "irfft", spy)
-    _log_coefficients(counts, 0, grid, 8, 1e-3, histogram=True)
-    _log_coefficients(freqs, 0, grid, 8, 1e-3)
+    _log_coefficients(counts, 0, grid, 8, histogram=True)
+    _log_coefficients(freqs, 0, grid, 8)
     assert logs[0] == 0.0  # log 1
     assert logs[1] == np.log(np.abs(np.fft.rfft(fold_indices(freqs, 0, 64))[0, 0])) != 0.0
 
 
 def test_log_kernel_refuses_rows_below_its_floor():
+    # the floor follows the rows' provenance: 1e-8 for a PMF, 1e-3 for a
+    # histogram of draws, where a small |Phi| is sampling noise
     f = zoo_pmf(Binomial(10, 0.4))  # |Phi(pi)| = 0.2^10
-    grid = FrequencyGrid(4096)
-    for floor, kept in ((1e-8, True), (1e-6, False)):
-        coef, min_abs = _log_coefficients(f.probs[None], 0, grid, 8, floor)
-        assert min_abs[0] == pytest.approx(0.2**10, rel=1e-9)
-        assert np.isfinite(coef).all() == kept and np.isnan(coef).all() != kept
+    coef, min_abs = _log_coefficients(f.probs[None], 0, FrequencyGrid(4096), 8)
+    assert min_abs[0] == pytest.approx(0.2**10, rel=1e-9)
+    assert np.isfinite(coef).all()
+    x = sampling_noise_draw()
+    grid = grid_for_samples(x, 8)
+    coef, min_abs = _log_coefficients(np.bincount(x)[None], 0, grid, 8, histogram=True)
+    assert min_abs[0] == pytest.approx(8.0e-4, rel=1e-9)
+    assert np.isnan(coef).all()
 
 
 # --------------------------------------------------------------- recursion

@@ -101,6 +101,30 @@ def test_parse_rejects_malformed_text(text):
         parse_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("poisson:lambda=2,lambda=5", "parameter 'lambda' given twice"),
+        ("binomial:n=5,p=0.2,n=7", "parameter 'n' given twice"),
+        ("Binomial:N=5,p=0.2,n=5", "parameter 'n' given twice"),  # the same key in any case
+        ("poisson:lambda=abc", "parameter 'lambda' has non-numeric value 'abc'"),
+        ("binomial:n=5.0,p=0.2", "parameter 'n' has non-numeric value '5.0'"),
+        ("negbinomial:r=2,p=", "parameter 'p' has non-numeric value ''"),
+    ],
+)
+def test_parse_names_the_parameter_it_refuses(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == message
+
+
+def test_parse_converts_each_parameter_by_its_schema():
+    spec = parse_spec("negbinomial:r=3,p=0.5")
+    assert spec == NegativeBinomial(3, 0.5) and type(spec.r) is int
+    lam = parse_spec("poisson:lambda=2").lam
+    assert lam == 2.0 and type(lam) is float
+
+
 def test_parse_accepts_spacing_and_case():
     assert parse_spec(" Binomial : N=5 , P=0.2 ") == Binomial(5, 0.2)
 
