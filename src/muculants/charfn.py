@@ -222,31 +222,36 @@ class LogCharFnSamples:
 def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
     """Evaluate Phi(mu) = sum_xi f[xi] e^{j mu xi} on the grid.
 
-    Zero-padded DFT with the offset folded in as part of the index lattice.
+    One rfft of the folded PMF, mirrored by :func:`hermitian_samples`.
     Requires ``N >= 4 * support_width(f)`` (:func:`require_resolution`);
     raises :class:`GridTooCoarse` otherwise.
     """
     require_resolution(f.offset, f.offset + len(f) - 1, grid)
-    vals = grid_synthesis(f.probs, f.offset, grid)
-    return CharFnSamples(grid, vals, "exact-from-pmf")
+    half = np.fft.rfft(fold_indices(f.probs, f.offset, grid.n_points))
+    return hermitian_samples(half, grid, "exact-from-pmf")
 
 
 def empirical_charfn(samples, grid: FrequencyGrid) -> CharFnSamples:
     """Empirical characteristic function (1/m) sum_i e^{j mu X_i}.
 
-    Samples must be integers; the sum is evaluated exactly at the grid
-    points through a bin count (no aliasing guard is needed because the
-    grid kernel is periodic in the sample values; unwrapping the phase does
-    need one, which :func:`estimate_muculants` applies).  Not clipped to the
-    unit disk: the estimate may exceed one in modulus and that is
-    informative.
+    The integer draws are counted straight into the N bins of X mod N (the
+    fold: O(N + m) memory for any sample range) and synthesized as in
+    :func:`eval_charfn`, with no resolution guard (:func:`estimate_muculants`
+    has one).  Not clipped to the unit disk: |Phi| > 1 is informative.
     """
     xi = integer_samples(samples)
-    lo = int(xi.min())
-    counts = np.bincount(xi - lo)
-    vals = grid_synthesis(counts / counts.sum(), lo, grid)
-    vals[grid.zero_index] = 1.0  # exact by construction
-    return CharFnSamples(grid, vals, "empirical")
+    n = grid.n_points
+    half = np.fft.rfft(np.bincount(xi % n, minlength=n) / xi.size)
+    half[0] = 1.0  # exact by construction
+    return hermitian_samples(half, grid, "empirical")
+
+
+def hermitian_samples(half: np.ndarray, grid: FrequencyGrid, source: str) -> CharFnSamples:
+    """:class:`CharFnSamples` from ``half`` = conj(Phi) at mu = 0, 2pi/N,
+    ..., pi, the rfft convention: mu = -mu_k holds half[k] and mu_k its
+    conjugate, so the samples are exactly Hermitian."""
+    h = grid.zero_index  # mu = -pi, ..., -2pi/N, then mu = 0, ..., pi - 2pi/N
+    return CharFnSamples(grid, np.concatenate([half[h:0:-1], np.conj(half[:h])]), source)
 
 
 def unwrap_phase(principal) -> np.ndarray:
@@ -305,12 +310,12 @@ def require_modulus(values, empirical: bool = False) -> tuple[np.ndarray, float]
 def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     """Complex logarithm with a continuous phase.
 
-    The phase is unwrapped along mu in [0, pi] (the value at pi is the
-    sample at -pi, the same point of the circle), pinned to zero at mu = 0,
-    and extended to negative mu by odd symmetry.  That preserves the
-    Hermitian structure exactly, which is what makes the downstream
-    coefficients real.  Raises :class:`CharFnVanishes` when any sample
-    modulus falls below the :func:`vanishing_floor` of its source.
+    The phase is unwrapped along mu in [0, pi] as in the log kernel (the
+    value at pi is the sample at -pi, the same point of the circle), pinned
+    to zero at mu = 0, and extended to negative mu by odd symmetry.  That
+    preserves the Hermitian structure exactly, which is what makes the
+    downstream coefficients real.  Raises :class:`CharFnVanishes` when any
+    sample modulus falls below the :func:`vanishing_floor` of its source.
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
     p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at
@@ -320,12 +325,11 @@ def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     """
     v = samples.values
     mods, min_abs = require_modulus(v, samples.source == "empirical")
-    n = v.shape[-1]
-    half = np.concatenate([v[n // 2 :], v[:1]])  # mu = 0, ..., pi
-    ph = unwrap_phase(np.angle(half))
-    ph = ph - ph[0]
-    phase = np.empty(n)
-    phase[n // 2 :] = ph[:-1]
-    phase[0] = 0.0  # jump midpoint at -pi
-    phase[1 : n // 2] = -ph[1 : n // 2][::-1]
+    h = v.shape[-1] // 2
+    half = np.conj(np.concatenate([v[h:], v[:1]]))  # conj(Phi) at mu = 0, ..., pi
+    ph = np.arctan2(half.imag, half.real)
+    unwrap_in_place(ph, np.empty(h))
+    ph -= ph[0]
+    ph[h] = 0.0  # jump midpoint at pi
+    phase = np.concatenate([ph[h:0:-1], -ph[:h]])  # mu = -pi, ..., pi - 2pi/N
     return LogCharFnSamples(samples.grid, np.log(mods), phase, min_abs)

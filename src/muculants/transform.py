@@ -15,7 +15,7 @@ from .charfn import (
     FrequencyGrid,
     LogCharFnSamples,
     fold_indices,
-    grid_analysis,
+    hermitian_samples,
     require_modulus,
     span_width,
     support_width,
@@ -105,15 +105,22 @@ def require_index_range(n_points: int, n_max: int) -> None:
 
 
 def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, float]:
-    """Coefficients of grid-sampled log values for n in [-n_max, n_max]:
-    refuses ``n_max`` beyond N/4 and imaginary residue at or above 1e-8,
-    returns the real parts and the residue."""
-    require_index_range(len(log_values), n_max)
-    coef = grid_analysis(log_values, np.arange(-n_max, n_max + 1))
-    resid = float(np.max(np.abs(coef.imag)))
+    """Coefficients of grid-sampled log values L for n in [-n_max, n_max]
+    (``n_max`` at most N/4): the real parts, one irfft of the Hermitian part
+    (L(-mu) + conj(L(mu))) / 2 on mu in [0, pi] as in the log kernel, and the
+    imaginary residue, one of the rest (0.0 untransformed where it is exactly
+    zero), refused at or above 1e-8."""
+    n = len(log_values)
+    require_index_range(n, n_max)
+    mirror = log_values[n // 2 :: -1]  # mu = 0, -2pi/N, ..., -pi
+    conjugate = np.conj(np.concatenate([log_values[n // 2 :], log_values[:1]]))  # mu = 0, ..., pi
+    ns = np.arange(-n_max, n_max + 1) % n
+    coef = np.fft.irfft(0.5 * (mirror + conjugate), n)[ns]
+    odd = 0.5 * (mirror - conjugate)
+    resid = float(np.max(np.abs(np.fft.irfft(-1j * odd, n)[ns]))) if odd.any() else 0.0
     if resid >= IMAG_TOL:
         raise ImagResidualTooLarge(f"imaginary residue {resid:.3e}")
-    return coef.real, resid
+    return coef, resid
 
 
 def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
@@ -297,18 +304,12 @@ def reconstruct_charfn(seq: MuculantSeq, grid: FrequencyGrid) -> CharFnSamples:
     """exp(sum_n c[n] e^{j mu n}) on the grid.
 
     Computed on mu in [0, pi] by :func:`_half_charfn` and mirrored onto the
-    grid (mu = -mu_k holds the conjugate of mu_k), so the samples are
-    exactly Hermitian however large |Phi| runs.  The all-zero sequence
-    gives Phi identically one (the unit mass at zero).  Power sequences
-    carry no phase and cannot be inverted here.
+    grid by :func:`hermitian_samples`, so the samples are exactly Hermitian
+    however large |Phi| runs.  The all-zero sequence gives Phi identically
+    one (the unit mass at zero).  Power sequences carry no phase and cannot
+    be inverted here.
     """
-    n = grid.n_points
-    h = n // 2
-    half = _half_charfn(seq, n)
-    values = np.empty(n, dtype=np.complex128)
-    values[:h] = half[h:0:-1]  # mu = -pi, ..., -2pi/N
-    values[h:] = np.conj(half[:h])  # mu = 0, ..., pi - 2pi/N
-    return CharFnSamples(grid, values, "reconstructed")
+    return hermitian_samples(_half_charfn(seq, grid.n_points), grid, "reconstructed")
 
 
 def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:

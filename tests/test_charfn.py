@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from muculants import (
     EmptySample,
     FrequencyGrid,
     GridTooCoarse,
+    MuculantSeq,
     complex_log,
     empirical_charfn,
     estimate_muculants,
@@ -18,6 +21,7 @@ from muculants import (
     grid_for_samples,
     grid_synthesis,
     power_muculants,
+    reconstruct_charfn,
     support_width,
     unwrap_phase,
     validate_pmf,
@@ -273,6 +277,37 @@ def test_empirical_charfn_is_sample_average():
     assert cf.source == "empirical"
 
 
+def test_empirical_charfn_memory_does_not_follow_the_sample_range():
+    # a histogram over 0..10^15 would need petabytes; the draws are counted
+    # straight into the N bins of x mod N, which is the fold
+    g = FrequencyGrid(4096)
+    x = np.array([0] * 99 + [10**15 + 3])
+    tracemalloc.start()
+    try:
+        cf = empirical_charfn(x, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.n_points * 16  # a few arrays over the grid
+    # 10^15 is a multiple of 4096, so the wide draw sits where 3 does
+    assert cf.values.tobytes() == empirical_charfn(x % 4096, g).values.tobytes()
+
+
+def test_every_charfn_the_package_builds_is_exactly_hermitian():
+    rng = np.random.default_rng(21)
+    g = FrequencyGrid(256)
+    h = g.zero_index
+    laws = [random_pmf(rng) for _ in range(5)] + [validate_pmf(-7, [0.1, 0.2, 0.7])]
+    built = [eval_charfn(f, g) for f in laws]
+    built += [empirical_charfn(rng.integers(-20, 30, 500), g), empirical_charfn(sampling_noise_draw(), g)]
+    seq = MuculantSeq(-7, 12, 0.5 * rng.standard_normal(20), "complex", 0.0)
+    built.append(reconstruct_charfn(seq, g))
+    for cf in built:
+        v = cf.values
+        np.testing.assert_array_equal(v[1:h], np.conj(v[:h:-1]))
+        assert v[0].imag == 0.0 and v[h].imag == 0.0, cf.source
+
+
 def test_empirical_charfn_input_checks():
     g = FrequencyGrid(64)
     with pytest.raises(EmptySample):
@@ -379,7 +414,7 @@ def test_complex_log_raises_on_vanishing_modulus():
         complex_log(eval_charfn(f, FrequencyGrid(64)))
 
 
-def test_complex_log_vanish_floor_is_adjustable():
+def test_exact_charfn_with_modulus_down_to_1e_3_passes_the_1e_8_floor():
     f = validate_pmf(0, [0.5005, 0.4995])
     cf = eval_charfn(f, FrequencyGrid(64))
     complex_log(cf)  # min |phi| = 1e-3, above the default floor

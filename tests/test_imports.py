@@ -11,11 +11,15 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - no root finder: nothing calls ``roots(`` (``np.roots`` is O(L^3) and took
   21 ms on a 124-long PMF; the zero test is a step-down, and the tests keep
   ``np.roots`` as its reference);
-- the full-grid staged functions serve the CLI only: ``eval_charfn``,
+- the staged functions serve the CLI only: ``eval_charfn``,
   ``empirical_charfn``, ``complex_log``, ``complex_muculants`` and
   ``power_muculants`` are called nowhere in the package outside ``cli.py``
-  (they take caller-supplied samples; every internal route runs the
-  half-spectrum log kernel in ``transform``);
+  (they take caller-supplied samples and compute the log kernel's
+  arithmetic; every internal route calls the kernel in ``transform``);
+- one transform convention: no module uses ``grid_synthesis`` or
+  ``grid_analysis``, the full N-point transforms, which stay public in
+  ``charfn.py`` only as references (every route runs on the half
+  spectrum, mu in [0, pi]);
 - the PMF default grid has one home, ``charfn.grid_for_pmf``: no other
   module reads ``DEFAULT_GRID_SIZE``, and ``cli.py`` neither calls
   ``for_width`` nor uses ``support_width`` (it takes the library's default
@@ -131,8 +135,8 @@ STAGED = ("eval_charfn", "empirical_charfn", "complex_log", "complex_muculants",
 
 
 def staged_calls(source: str) -> list[str]:
-    """``line: name`` of each call to a full-grid staged function, bare or
-    dotted; their definitions are not calls."""
+    """``line: name`` of each call to a staged function, bare or dotted;
+    their definitions are not calls."""
     return [
         f"{node.lineno}: {name}"
         for node in ast.walk(ast.parse(source))
@@ -191,6 +195,15 @@ def test_checker_finds_name_uses():
     assert name_uses(source, "support_width") == [1, 4]
     definition = "def for_width(w):\n    return 'for_width'\nx.for_width = 1\n"
     assert name_uses(definition, "for_width") == []
+
+
+def test_no_module_runs_the_full_grid_transforms():
+    for name in ("grid_synthesis", "grid_analysis"):
+        uses = {p.name: name_uses(p.read_text(), name) for p in MODULES}
+        assert {module: lines for module, lines in uses.items() if lines} == {}, name
+    charfn = ast.parse((PACKAGE / "charfn.py").read_text())
+    defined = {node.name for node in charfn.body if isinstance(node, ast.FunctionDef)}
+    assert {"grid_synthesis", "grid_analysis"} <= defined  # kept as public references
 
 
 def test_the_pmf_default_grid_has_one_home():

@@ -26,7 +26,6 @@ from muculants.charfn import (
     check_charfn_values,
     grid_analysis,
     grid_synthesis,
-    require_modulus,
     unwrap_phase,
 )
 import muculants.inference as inference
@@ -274,10 +273,8 @@ def test_replicate_kernel_matches_full_grid_reference(law, n_points):
     np.testing.assert_allclose(got[~dropped], want[~dropped], rtol=1e-12, atol=0)
 
 
-def full_grid_estimate(x, grid, n_max):
-    cf = empirical_charfn(x, grid)
-    require_modulus(cf.values, 1e-3)
-    return complex_muculants(complex_log(cf), n_max)
+def staged_estimate(x, grid, n_max):
+    return complex_muculants(complex_log(empirical_charfn(x, grid)), n_max)
 
 
 def estimate_cases():
@@ -297,10 +294,33 @@ def test_half_spectrum_estimate_matches_full_grid_route(name):
     grid = grid_for_samples(x)
     for n_max in (8, grid.n_points // 4):
         got = estimate_muculants(x, grid, n_max)
-        want = full_grid_estimate(x, grid, n_max)
+        want = staged_estimate(x, grid, n_max)
         assert (got.n_min, got.n_max, got.kind) == (want.n_min, want.n_max, want.kind)
-        assert got.imag_residual == 0.0  # real by construction
-        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+        assert got.imag_residual == want.imag_residual == 0.0  # real by construction
+        assert got.values.tobytes() == want.values.tobytes()  # one convention
+
+
+def test_staged_sample_route_is_estimate_muculants_on_criterion_7_draws():
+    # the size arms' Poisson(3) and Poisson(1) draws and the power arm's
+    # Geometric: the same coefficients, or the same refusal
+    draws = [np.random.default_rng([31337, r]).poisson(3.0, 10**4) for r in range(8)]
+    draws += [np.random.default_rng([31337, r]).poisson(1.0, 10**4) for r in range(4)]
+    draws += [np.random.default_rng([77001, r]).geometric(0.5, 10**4) - 1 for r in range(4)]
+    refused = 0
+    for x in draws:
+        grid = grid_for_samples(x, 8)
+        try:
+            want = estimate_muculants(x, grid, 8)
+        except CharFnVanishes as exc:
+            refused += 1
+            with pytest.raises(CharFnVanishes) as staged_exc:
+                staged_estimate(x, grid, 8)
+            assert str(staged_exc.value) == str(exc)
+            continue
+        got = staged_estimate(x, grid, 8)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.imag_residual == 0.0
+    assert 0 < refused < len(draws)
 
 
 def test_half_spectrum_estimate_keeps_the_aliasing_guard():

@@ -36,6 +36,7 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
+from muculants.charfn import grid_for_pmf
 from muculants.cli import main
 from muculants.io import (
     _parse_canonical,
@@ -53,6 +54,7 @@ from muculants.io import (
     read_samples,
     sequence_to_dict,
 )
+from muculants.transform import _log_coefficients
 from support import reference_dumps_json, reference_flat_csv, reference_indexed_csv
 
 
@@ -565,6 +567,32 @@ def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
         assert err == (
             "error: CharFnVanishes: |charfn| reaches 0.000e+00, below the 1e-03 floor\n"
         )
+
+
+def test_cli_power_muculants_reads_samples_of_any_range(capsys, tmp_path):
+    # the empirical charfn counts draws into the grid's bins, not into a
+    # histogram over the sample range (10^15 wide here)
+    p = write_samples(tmp_path / "wide.txt", [0] * 99 + [10**15])
+    code, out, err = run_cli(capsys, "power-muculants", "--input", p, "--grid", "4096")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["kind"], doc["imag_residual"]) == ("power", 0)
+    # the complex route still needs a grid that resolves the sample range
+    code, out, err = run_cli(capsys, "muculants", "--input", p, "--grid", "4096")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: GridTooCoarse: support width 1000000000000001 ")
+
+
+def test_cli_pmf_routes_print_the_log_kernel_coefficients(capsys, tmp_path):
+    f = zoo_pmf(NegativeBinomial(5, 0.9))
+    p = tmp_path / "law.json"
+    p.write_text(dumps_json(pmf_to_dict(f)))
+    code, out, _ = run_cli(capsys, "muculants", "--input", str(p), "--n-max", "20")
+    assert code == 0
+    doc = json.loads(out)
+    want = _log_coefficients(f.probs[None], f.offset, grid_for_pmf(f, 20), 20)[0][0]
+    assert doc["values"] == want.tolist()
+    assert doc["imag_residual"] == 0
 
 
 def test_cli_cumulants_exact_for_geometric(capsys):

@@ -211,6 +211,92 @@ def test_log_kernel_refuses_rows_below_its_floor():
     assert np.isnan(coef).all()
 
 
+# ---------------------------------------------- one transform convention
+
+
+def convention_laws():
+    """Winding laws (a point mass off zero, shifted Poisson, Bernoulli and
+    Binomial with p > 1/2), a mirrored Geometric, the two laws whose |Phi|
+    runs lowest on the default grid, and a two-signed support."""
+    g = zoo_pmf(Geometric(0.2))
+    return {
+        "degenerate": zoo_pmf(Degenerate(6)),
+        "shifted_poisson": validate_pmf(3, zoo_pmf(Poisson(2.0)).probs),
+        "bernoulli": zoo_pmf(Bernoulli(0.7)),
+        "binomial_winding": zoo_pmf(Binomial(5, 0.8)),
+        "mirrored_geometric": validate_pmf(-(len(g) - 1), g.probs[::-1]),
+        "binomial": zoo_pmf(Binomial(10, 0.4)),
+        "negbinomial": zoo_pmf(NegativeBinomial(5, 0.9)),
+        "two_signed": validate_pmf(-4, [0.1, 0.2, 0.3, 0.15, 0.25]),
+    }
+
+
+@pytest.mark.parametrize("name", list(convention_laws()))
+def test_staged_pmf_route_is_the_log_kernel_bit_for_bit(name):
+    f = convention_laws()[name]
+    for n_points in (4096, 16384):
+        grid = FrequencyGrid(n_points)
+        cf = eval_charfn(f, grid)
+        for n_max in (20, 100):
+            got = complex_muculants(complex_log(cf), n_max)
+            want = _log_coefficients(f.probs[None], f.offset, grid, n_max)[0][0]
+            assert got.values.tobytes() == want.tobytes(), (n_points, n_max)
+            assert got.imag_residual == 0.0
+            assert power_muculants(cf, n_max).imag_residual == 0.0
+
+
+def test_staged_pmf_route_moves_toward_the_closed_form():
+    # the log kernel's arithmetic, now the staged route's, is the more
+    # accurate one where |Phi| runs low (0.2^10 at pi)
+    law = Binomial(10, 0.4)
+    want = zoo_muculants(law, (-100, 100)).values
+    got = complex_muculants(complex_log(eval_charfn(zoo_pmf(law), FrequencyGrid(4096))), 100)
+    assert np.max(np.abs(got.values - want)) < 5e-12
+
+
+def test_exactly_hermitian_log_values_take_one_transform(monkeypatch):
+    lg = complex_log(eval_charfn(zoo_pmf(Binomial(5, 0.8)), FrequencyGrid(256)))
+    calls = []
+    irfft = np.fft.irfft
+
+    def spy(a, n):
+        calls.append(n)
+        return irfft(a, n)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    assert complex_muculants(lg, 20).imag_residual == 0.0
+    assert calls == [256]
+    skewed = LogCharFnSamples(lg.grid, lg.log_magnitude, lg.phase + 1e-12, lg.min_abs)
+    assert complex_muculants(skewed, 20).imag_residual > 0.0
+    assert calls == [256, 256, 256]
+
+
+def test_caller_built_log_samples_keep_the_full_grid_contract():
+    # real parts and residue agree with the full-grid analysis, and the
+    # residue refuses the same defects
+    rng = np.random.default_rng(23)
+    refused = 0
+    for n in (64, 256, 1024):
+        grid = FrequencyGrid(n)
+        ns = np.arange(-(n // 4), n // 4 + 1)
+        base = complex_log(eval_charfn(random_pmf(rng), grid))
+        for scale in (1e-12, 1e-9, 3e-8, 1e-7, 1e-3):
+            lm = base.log_magnitude + scale * rng.standard_normal(n)
+            ph = base.phase + scale * rng.standard_normal(n)
+            lg = LogCharFnSamples(grid, lm, ph, base.min_abs)
+            ref = grid_analysis(lm + 1j * ph, ns)
+            resid = float(np.max(np.abs(ref.imag)))
+            if resid >= 1e-8:
+                refused += 1
+                with pytest.raises(ImagResidualTooLarge):
+                    complex_muculants(lg, n // 4)
+                continue
+            got = complex_muculants(lg, n // 4)
+            assert np.max(np.abs(got.values - ref.real)) <= 1e-15, (n, scale)
+            assert abs(got.imag_residual - resid) <= 1e-15, (n, scale)
+    assert 0 < refused < 15
+
+
 # --------------------------------------------------------------- recursion
 
 
