@@ -232,16 +232,15 @@ def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
 
 
 def empirical_charfn(samples, grid: FrequencyGrid) -> CharFnSamples:
-    """Empirical characteristic function (1/m) sum_i e^{j mu X_i}.
-
-    The integer draws are counted straight into the N bins of X mod N (the
-    fold: O(N + m) memory for any sample range) and synthesized as in
-    :func:`eval_charfn`, with no resolution guard (:func:`estimate_muculants`
-    has one).  Not clipped to the unit disk: |Phi| > 1 is informative.
-    """
+    """Empirical characteristic function (1/m) sum_i e^{j mu X_i}: the
+    histogram of the draws over m, synthesized as in :func:`eval_charfn`
+    under its :func:`require_resolution` (checked before counting, so a
+    refused grid allocates nothing as wide as the sample range).  Not
+    clipped to the unit disk: |Phi| > 1 is informative."""
     xi = integer_samples(samples)
-    n = grid.n_points
-    half = np.fft.rfft(np.bincount(xi % n, minlength=n) / xi.size)
+    lo, hi = int(xi.min()), int(xi.max())
+    require_resolution(lo, hi, grid)
+    half = np.fft.rfft(fold_indices(np.bincount(xi - lo) / xi.size, lo, grid.n_points))
     half[0] = 1.0  # exact by construction
     return hermitian_samples(half, grid, "empirical")
 

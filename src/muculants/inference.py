@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import FrequencyGrid, integer_samples, require_modulus, require_resolution, span_width
+from .charfn import MAX_GRID_POINTS
 from .errors import CharFnVanishes, NegativeSampleValue
 from .transform import MuculantSeq, _log_coefficients
 
@@ -53,11 +54,14 @@ def require_sample_size(size) -> None:
 
 
 def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
-    """Grid sized for sample data: eight points per support index keeps the
-    unwrap safe even for bootstrap resamples that overshoot the observed
-    maximum, and the grid carries coefficient indices up to ``n_max``."""
+    """Grid for sample data: eight points per index of the sample range (safe
+    for bootstrap resamples that overshoot its maximum), carrying indices up
+    to ``n_max``.  ValueError names a range that needs more than 2^24 points."""
     xi = integer_samples(samples)
-    return FrequencyGrid.for_width(2 * span_width(int(xi.min()), int(xi.max())), 128, n_max)
+    lo, hi = int(xi.min()), int(xi.max())
+    if 8 * span_width(lo, hi) > MAX_GRID_POINTS:
+        raise ValueError(f"sample range {lo}..{hi} needs more than {MAX_GRID_POINTS} grid points")
+    return FrequencyGrid.for_width(2 * span_width(lo, hi), 128, n_max)
 
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:

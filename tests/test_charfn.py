@@ -30,6 +30,7 @@ from muculants.charfn import (
     MAX_GRID_POINTS,
     check_charfn_values,
     fold_indices,
+    span_width,
     unwrap_in_place,
 )
 
@@ -73,7 +74,7 @@ def test_grid_ceiling_is_refused_at_construction():
         FrequencyGrid(1 << 25)
     with pytest.raises(ValueError, match="at most 16777216, got 33554432"):
         FrequencyGrid.for_width(0, n_max=(1 << 22) + 1)
-    with pytest.raises(ValueError, match="got 8589934592"):
+    with pytest.raises(ValueError, match=r"^sample range 0\.\.1000000000 needs more than 16777216"):
         grid_for_samples(np.array([0, 10**9]))
     with pytest.raises(ValueError, match="got 4294967296"):
         grid_for_samples(np.arange(5), n_max=10**9)
@@ -84,6 +85,17 @@ def test_support_width_includes_origin():
     # shifted mass still has to resolve the linear phase back to zero
     assert support_width(validate_pmf(10, [1.0])) == 11
     assert support_width(validate_pmf(-4, [0.5, 0.5])) == 5
+
+
+def test_sample_grid_names_a_range_no_grid_resolves():
+    # eight points per index of the range: 2^21 indices fill the largest grid
+    top = MAX_GRID_POINTS // 8
+    assert grid_for_samples(np.array([0, top - 1])).n_points == MAX_GRID_POINTS
+    assert grid_for_samples(np.array([-(top - 1), 0])).n_points == MAX_GRID_POINTS
+    for x, lo, hi in (([0, top], 0, top), ([-top, 0], -top, 0), ([0] * 99 + [10**15], 0, 10**15)):
+        with pytest.raises(ValueError) as exc:
+            grid_for_samples(np.array(x), n_max=4)
+        assert str(exc.value) == f"sample range {lo}..{hi} needs more than 16777216 grid points"
 
 
 def test_synthesis_matches_direct_trig_sum():
@@ -267,6 +279,17 @@ def test_charfn_samples_reject_non_hermitian():
         CharFnSamples(g, vals, "exact-from-pmf")
 
 
+def test_charfn_samples_refuse_an_unknown_source_and_an_exact_modulus_above_one():
+    g = FrequencyGrid(64)
+    with pytest.raises(ValueError, match=r"^unknown source 'sampled'$"):
+        CharFnSamples(g, np.ones(64), "sampled")
+    above = np.full(64, 1.0 + 1e-9)  # real and even: Hermitian
+    with pytest.raises(ValueError, match=r"^charfn modulus exceeds one$"):
+        CharFnSamples(g, above, "exact-from-pmf")
+    for source in ("empirical", "reconstructed"):  # their modulus may exceed one
+        assert CharFnSamples(g, above, source).source == source
+
+
 def test_empirical_charfn_is_sample_average():
     samples = np.array([0, 1, 1, 3, -2])
     g = FrequencyGrid(64)
@@ -278,19 +301,45 @@ def test_empirical_charfn_is_sample_average():
 
 
 def test_empirical_charfn_memory_does_not_follow_the_sample_range():
-    # a histogram over 0..10^15 would need petabytes; the draws are counted
-    # straight into the N bins of x mod N, which is the fold
+    # a histogram over 0..10^15 would need petabytes; the grid is refused
+    # for not resolving that range before any draw is counted
     g = FrequencyGrid(4096)
     x = np.array([0] * 99 + [10**15 + 3])
     tracemalloc.start()
     try:
-        cf = empirical_charfn(x, g)
+        with pytest.raises(GridTooCoarse) as exc:
+            empirical_charfn(x, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * g.n_points * 16  # a few arrays over the grid
-    # 10^15 is a multiple of 4096, so the wide draw sits where 3 does
-    assert cf.values.tobytes() == empirical_charfn(x % 4096, g).values.tobytes()
+    assert peak < 16 * g.n_points * 16  # a few arrays over the grid at most
+    assert str(exc.value) == (
+        "support width 1000000000000004 needs at least 4000000000000016 grid points, got 4096"
+    )
+
+
+def mod_n_empirical_values(x, grid):
+    """The empirical charfn from draws counted into the N bins of x mod N."""
+    n = grid.n_points
+    half = np.fft.rfft(np.bincount(x % n, minlength=n) / x.size)
+    half[0] = 1.0
+    return np.concatenate([half[n // 2 : 0 : -1], np.conj(half[: n // 2])])
+
+
+def test_empirical_charfn_is_the_mod_n_count_on_a_grid_that_resolves_the_draws():
+    # where the grid resolves the range no two draws share a bin, so the
+    # histogram folded at its low end is the mod-N count, bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        lo = int(rng.integers(-300, 300))
+        x = lo + rng.poisson(rng.uniform(0.2, 8.0), int(rng.integers(1, 400)))
+        smallest = FrequencyGrid.for_width(span_width(int(x.min()), int(x.max())))
+        for grid in (smallest, FrequencyGrid(2 * smallest.n_points)):
+            got = empirical_charfn(x, grid).values
+            assert got.tobytes() == mod_n_empirical_values(x, grid).tobytes()
+        if smallest.n_points > 64:
+            with pytest.raises(GridTooCoarse):
+                empirical_charfn(x, FrequencyGrid(smallest.n_points // 2))
 
 
 def test_every_charfn_the_package_builds_is_exactly_hermitian():

@@ -36,7 +36,12 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - the vanishing floor has one home: ``VANISH_TOL`` and ``EMPIRICAL_FLOOR``
   are assigned only in ``charfn.py``, ``cli.py`` names neither of them nor
   ``require_modulus`` and holds no floor literal, and ``_log_coefficients``
-  takes no ``floor`` (the floor follows the provenance of the charfn).
+  takes no ``floor`` (the floor follows the provenance of the charfn);
+- one resolution rule: the four functions that put weights on a
+  caller-chosen grid, ``eval_charfn``, ``empirical_charfn``,
+  ``estimate_muculants`` and ``decompose``, each call
+  ``require_resolution`` (a grid below four points per index of the
+  support lets the phase unwrap skip a wrap).
 """
 
 import ast
@@ -279,3 +284,37 @@ def test_the_vanishing_floor_has_one_home():
     )
     params = kernel.args.posonlyargs + kernel.args.args + kernel.args.kwonlyargs
     assert "floor" not in [a.arg for a in params]
+
+
+def function_calls(source: str, function: str) -> set[str]:
+    """Names called, bare or dotted, in the body of the top-level function
+    ``function``; empty when the source defines no such function."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                getattr(call.func, "attr", getattr(call.func, "id", None))
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+    return set()
+
+
+def test_checker_finds_function_calls():
+    source = "def f(g):\n    check(g)\n    return m.fold(g)\ndef h():\n    other()\n"
+    assert function_calls(source, "f") == {"check", "fold"}
+    assert function_calls(source, "h") == {"other"}
+    assert function_calls(source, "check") == set()
+
+
+SYNTHESES = {
+    "charfn.py": ("eval_charfn", "empirical_charfn"),
+    "inference.py": ("estimate_muculants",),
+    "decompose.py": ("decompose",),
+}
+
+
+def test_every_synthesis_on_a_caller_chosen_grid_requires_resolution():
+    for module, functions in SYNTHESES.items():
+        source = (PACKAGE / module).read_text()
+        for function in functions:
+            assert "require_resolution" in function_calls(source, function), function

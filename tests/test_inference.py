@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -289,7 +290,7 @@ def estimate_cases():
 
 
 @pytest.mark.parametrize("name", list(estimate_cases()))
-def test_half_spectrum_estimate_matches_full_grid_route(name):
+def test_staged_sample_route_is_estimate_muculants_on_every_support_shape(name):
     x = estimate_cases()[name]
     grid = grid_for_samples(x)
     for n_max in (8, grid.n_points // 4):
@@ -302,25 +303,28 @@ def test_half_spectrum_estimate_matches_full_grid_route(name):
 
 def test_staged_sample_route_is_estimate_muculants_on_criterion_7_draws():
     # the size arms' Poisson(3) and Poisson(1) draws and the power arm's
-    # Geometric: the same coefficients, or the same refusal
+    # Geometric: the same coefficients, or the same refusal; last, a shifted
+    # draw on a grid that does not resolve its range
     draws = [np.random.default_rng([31337, r]).poisson(3.0, 10**4) for r in range(8)]
     draws += [np.random.default_rng([31337, r]).poisson(1.0, 10**4) for r in range(4)]
     draws += [np.random.default_rng([77001, r]).geometric(0.5, 10**4) - 1 for r in range(4)]
-    refused = 0
-    for x in draws:
-        grid = grid_for_samples(x, 8)
+    cases = [(x, grid_for_samples(x, 8)) for x in draws]
+    cases.append((100 + np.random.default_rng(4).poisson(0.5, 2000), FrequencyGrid(64)))
+    refusals = []
+    for x, grid in cases:
         try:
             want = estimate_muculants(x, grid, 8)
-        except CharFnVanishes as exc:
-            refused += 1
-            with pytest.raises(CharFnVanishes) as staged_exc:
+        except (CharFnVanishes, GridTooCoarse) as exc:
+            refusals.append(f"{type(exc).__name__}: {exc}")
+            with pytest.raises(type(exc)) as staged_exc:
                 staged_estimate(x, grid, 8)
-            assert str(staged_exc.value) == str(exc)
+            assert f"{staged_exc.typename}: {staged_exc.value}" == refusals[-1]
             continue
         got = staged_estimate(x, grid, 8)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.imag_residual == 0.0
-    assert 0 < refused < len(draws)
+    assert refusals[-1] == "GridTooCoarse: support width 107 needs at least 428 grid points, got 64"
+    assert 0 < len(refusals) - 1 < len(draws)
 
 
 def test_half_spectrum_estimate_keeps_the_aliasing_guard():
@@ -560,3 +564,26 @@ def test_test_input_validation():
         poisson_test(good, n_bootstrap=0)
     with pytest.raises(ValueError):
         poisson_test(good[:99])
+
+
+def test_all_zero_sample_meets_the_degenerate_null():
+    # lambda_hat = 0: the null law is the point mass at 0, so every
+    # replicate is the data again
+    res = poisson_test(np.zeros(1000, dtype=np.int64), n_bootstrap=50)
+    assert (res.statistic, res.lambda_hat, res.threshold, res.p_value) == (0.0, 0.0, 0.0, 1.0)
+    assert res.reject is False
+    assert res.n_bootstrap_used == 50
+
+
+def test_bootstrap_law_lumps_both_tails_at_a_large_mean():
+    # at lambda 50 the computed cells start at 0, where the lower tail is
+    # far lighter than 1e-16: cells 0..4 are lumped into cell 5
+    offset, probs = inference._poisson_pmf(50.0)
+    assert (offset, len(probs)) == (5, 114)
+    assert abs(probs.sum() - 1.0) < 1e-14
+    head = sum(math.exp(k * math.log(50.0) - 50.0 - math.lgamma(k + 1.0)) for k in range(6))
+    assert probs[0] == pytest.approx(head, rel=1e-12)
+    res = poisson_test(np.array([49, 50, 51] * 400), n_bootstrap=20, seed=0)
+    assert res.lambda_hat == 50.0
+    # Poisson(50) resamples often dip below the floor somewhere on the grid
+    assert (res.n_bootstrap_used, res.p_value, res.reject) == (15, 13 / 15, False)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import muculants.charfn
 import muculants.cli
 import muculants.io
+import muculants.transform
 from muculants import (
     EmptySample,
     FrequencyGrid,
@@ -544,11 +546,22 @@ def test_cli_default_grid_carries_n_max(capsys, tmp_path):
         assert err == "error: ValueError: n_max must be in 1..64 for this grid\n"
 
 
-def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path, monkeypatch):
-    def synthesis(*args, **kwargs):
-        raise AssertionError("an oversized grid reached the synthesis FFT")
+def spy_on_folds(monkeypatch) -> list:
+    """Record the grid size of each ``fold_indices`` call, in both namespaces
+    that synthesize on a grid: every synthesis folds its weights first."""
+    sizes = []
+    for module in (muculants.charfn, muculants.transform):
 
-    monkeypatch.setattr(muculants.charfn, "grid_synthesis", synthesis)
+        def spy(coeffs, offset, n, *args, _fold=module.fold_indices, **kwargs):
+            sizes.append(n)
+            return _fold(coeffs, offset, n, *args, **kwargs)
+
+        monkeypatch.setattr(module, "fold_indices", spy)
+    return sizes
+
+
+def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path, monkeypatch):
+    sizes = spy_on_folds(monkeypatch)
     p = write_samples(tmp_path / "xs.txt", [0, 1] * 100)
     code, out, err = run_cli(capsys, "cumulants", "--input", p, "--n-max", "1000000000")
     assert (code, out) == (2, "")
@@ -556,6 +569,13 @@ def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path,
     code, out, err = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", str(1 << 25))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: n_points must be at most 16777216, got 33554432\n"
+    assert sizes == []
+    # the same routes on grids they may use reach the spy
+    code, _, err = run_cli(capsys, "cumulants", "--input", p, "--n-max", "4")
+    assert code == 1 and err.startswith("error: CharFnVanishes: ")  # Phi(pi) = 0
+    code, _, _ = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", "4096")
+    assert code == 0
+    assert sizes == [128, 4096]
 
 
 def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
@@ -570,17 +590,29 @@ def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
 
 
 def test_cli_power_muculants_reads_samples_of_any_range(capsys, tmp_path):
-    # the empirical charfn counts draws into the grid's bins, not into a
-    # histogram over the sample range (10^15 wide here)
+    # both sample routes refuse a grid that does not resolve the sample
+    # range, before anything as wide as that range (10^15 here) is allocated
     p = write_samples(tmp_path / "wide.txt", [0] * 99 + [10**15])
+    for command in ("power-muculants", "muculants"):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--input", p, "--grid", "4096")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: GridTooCoarse: support width 1000000000000001 needs at least "
+            "4000000000000004 grid points, got 4096\n"
+        )
+    # the two support points of this file would share one of 4096 bins
+    p = write_samples(tmp_path / "w.txt", [0] * 99 + [4096])
     code, out, err = run_cli(capsys, "power-muculants", "--input", p, "--grid", "4096")
-    assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert (doc["kind"], doc["imag_residual"]) == ("power", 0)
-    # the complex route still needs a grid that resolves the sample range
-    code, out, err = run_cli(capsys, "muculants", "--input", p, "--grid", "4096")
     assert (code, out) == (1, "")
-    assert err.startswith("error: GridTooCoarse: support width 1000000000000001 ")
+    assert err == (
+        "error: GridTooCoarse: support width 4097 needs at least 16388 grid points, got 4096\n"
+    )
 
 
 def test_cli_pmf_routes_print_the_log_kernel_coefficients(capsys, tmp_path):
@@ -668,6 +700,16 @@ def test_cli_decompose_reports_both_factors(capsys, tmp_path):
     assert doc["minphase"]["is_pmf"] is True
     assert doc["allpass"]["is_pmf"] is False
     assert doc["allpass"]["sum"] == pytest.approx(1.0, abs=1e-8)
+    # the flat CSV rendering of the nested document
+    argv = ("decompose", "--input", str(p), "--n-max", "60", "--output", "csv")
+    code, csv, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert csv == reference_flat_csv(doc)
+    assert csv.splitlines()[:3] == [
+        "field,value",
+        "minphase.muculants.kind,complex",
+        "minphase.muculants.n_min,-60",
+    ]
 
 
 def test_cli_zoo_lists_closed_form(capsys):
@@ -696,6 +738,13 @@ def test_cli_poisson_test_accepts_and_rejects(capsys, tmp_path):
     )
     assert code == 3
     assert json.loads(out)["reject"] is True
+    # the flat CSV rendering carries the same fields and the same exit codes
+    for path, want_code in ((ok, 0), (bad, 3)):
+        argv = ("poisson-test", "--input", str(path), "--bootstrap", "200")
+        _, out, _ = run_cli(capsys, *argv)
+        code, csv, err = run_cli(capsys, *argv, "--output", "csv")
+        assert (code, err) == (want_code, "")
+        assert csv == reference_flat_csv(json.loads(out))
 
 
 def test_cli_requires_exactly_one_source(capsys, tmp_path):
@@ -714,6 +763,10 @@ _RECONSTRUCT_NEEDS = "error: ValueError: reconstruct needs a muculant JSON input
 _DECOMPOSE_NEEDS = "error: ValueError: decompose needs a PMF input (.json) or --dist\n"
 _GRID_TOO_SMALL = "error: ValueError: n_max must be in 1..16 for this grid\n"
 _LAMBDA_TWICE = "error: ValueError: parameter 'lambda' given twice\n"
+_WIDE_RANGE = (
+    "error: ValueError: sample range 0..1000000000000000 needs more than 16777216 grid points\n"
+)
+_SUPPORT = "error: ValueError: --support expects "
 
 
 _SOURCE_REFUSALS = [
@@ -758,6 +811,37 @@ _SOURCE_REFUSALS = [
         ["cumulants", "--dist", "binomial:n=5,p=0.2,n=7"],
         "error: ValueError: parameter 'n' given twice\n",
     ),
+    (["muculants", "--input", "{wide}"], _WIDE_RANGE),
+    (["power-muculants", "--input", "{wide}"], _WIDE_RANGE),
+    (["cumulants", "--input", "{wide}"], _WIDE_RANGE),
+    (
+        ["reconstruct", "--dist", "poisson:lambda=2", "--support", "3"],
+        _SUPPORT + "LO:HI, got '3'\n",
+    ),
+    (
+        ["reconstruct", "--dist", "poisson:lambda=2", "--support", "a:b"],
+        _SUPPORT + "integer bounds, got 'a:b'\n",
+    ),
+    (
+        ["reconstruct", "--dist", "poisson:lambda=2", "--support", "5:1"],
+        "error: ValueError: support range is empty\n",
+    ),
+    (
+        ["muculants", "--input", "{csv}"],
+        "error: ValueError: {csv}: unknown input extension (expected .json or .txt)\n",
+    ),
+    (
+        ["muculants", "--input", "{array}"],
+        "error: ValueError: {array}: expected a JSON object at top level\n",
+    ),
+    (
+        ["muculants", "--input", "{other}"],
+        "error: ValueError: {other}: JSON object is neither a PMF nor a muculant sequence\n",
+    ),
+    (
+        ["cumulants", "--input", "{txt}", "--k-max", "0"],
+        "error: ValueError: k_max must be at least 1\n",
+    ),
 ]
 
 
@@ -774,6 +858,10 @@ def test_cli_refuses_a_source_or_grid_it_cannot_use(capsys, tmp_path, argv, want
         "dup_muc": tmp_path / "dup_muc.json",
         "bin": tmp_path / "bin.json",
         "bin_txt": tmp_path / "bin.txt",
+        "wide": tmp_path / "wide.txt",
+        "csv": tmp_path / "xs.csv",
+        "array": tmp_path / "array.json",
+        "other": tmp_path / "other.json",
     }
     files["muc"].write_text(zoo_geometric_json(5))
     files["pmf"].write_text(dumps_json({"offset": 0, "probs": [0.7, 0.3]}))
@@ -785,6 +873,10 @@ def test_cli_refuses_a_source_or_grid_it_cannot_use(capsys, tmp_path, argv, want
     )
     files["bin"].write_bytes(b'{"offset": 0,\n"probs": [0.7, 0.3]\xff}')
     files["bin_txt"].write_bytes(files["txt"].read_bytes()[:200] + b"\xff\n")
+    write_samples(files["wide"], [0] * 99 + [10**15])
+    files["csv"].write_text("1\n")
+    files["array"].write_text("[0.7, 0.3]")
+    files["other"].write_text('{"a": 1}')
     try:
         code = main([arg.format(**files) for arg in argv])
     except SystemExit as exc:  # argparse's usage errors
