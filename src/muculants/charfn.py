@@ -24,8 +24,11 @@ VANISH_TOL = 1e-8
 # heavy for the sample size and the coefficient estimates are sampling noise.
 EMPIRICAL_FLOOR = 1e-3
 
-# Hermitian-symmetry slack for sampled charfns.
+# Hermitian-symmetry slack: |Phi - conj(Phi)| at mu = 0 and pi.
 _HERMITIAN_TOL = 1e-10
+
+# Fewest draws an estimate from samples accepts.
+MIN_SAMPLE_SIZE = 100
 
 _SOURCES = ("exact-from-pmf", "empirical", "reconstructed")
 
@@ -164,23 +167,13 @@ def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
     return signs * (np.fft.fft(v)[..., ns % n] / n)
 
 
-def check_charfn_values(values: np.ndarray) -> None:
-    """Raise ValueError unless the samples are Hermitian within 1e-10 (the
-    value at -mu_k conjugates the value at mu_k) over the trailing axis.
-    Finiteness is checked once, where :class:`CharFnSamples` freezes them."""
-    v = values
-    # index k pairs with N - k; 0 (mu = -pi) and N/2 (mu = 0) pair with
-    # themselves, where |v - conj(v)| = 2|Im v|
-    h = v.shape[-1] // 2
-    pairs = np.abs(v[..., 1:h] - np.conj(v[..., :h:-1]))
-    selves = 2.0 * np.abs(v[..., ::h].imag)
-    if max(np.max(pairs), np.max(selves)) > _HERMITIAN_TOL:
-        raise ValueError("samples are not Hermitian within 1e-10")
-
-
 @dataclass(frozen=True)
 class CharFnSamples:
     """Characteristic function sampled on a :class:`FrequencyGrid`.
+
+    ``half`` holds conj(Phi) at mu = 0, 2pi/N, ..., pi (the rfft convention),
+    all of a Hermitian Phi; its self-paired points mu = 0 and pi must be
+    real within 5e-11.  :attr:`values`, the full grid, is derived from it.
 
     ``source`` records provenance: "exact-from-pmf" (modulus capped at one),
     "empirical" (value 1 at mu = 0 by construction, modulus not clipped), or
@@ -189,16 +182,23 @@ class CharFnSamples:
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    half: np.ndarray
     source: str
 
     def __post_init__(self):
-        v = frozen_vector(self, "values", self.grid.n_points, np.complex128)
+        half = frozen_vector(self, "half", self.grid.zero_index + 1, np.complex128)
         if self.source not in _SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
-        check_charfn_values(v)
-        if self.source == "exact-from-pmf" and np.max(np.abs(v)) > 1.0 + 1e-10:
+        if 2.0 * np.max(np.abs(half[:: self.grid.zero_index].imag)) > _HERMITIAN_TOL:
+            raise ValueError("samples are not Hermitian within 1e-10")
+        if self.source == "exact-from-pmf" and np.max(np.abs(half)) > 1.0 + 1e-10:
             raise ValueError("charfn modulus exceeds one")
+
+    @property
+    def values(self) -> np.ndarray:
+        """Phi at mu = -pi, ..., pi - 2pi/N: half[k] at -mu_k, its conjugate at mu_k."""
+        h = self.grid.zero_index
+        return np.concatenate([self.half[h:0:-1], np.conj(self.half[:h])])
 
 
 @dataclass(frozen=True)
@@ -222,35 +222,41 @@ class LogCharFnSamples:
 def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
     """Evaluate Phi(mu) = sum_xi f[xi] e^{j mu xi} on the grid.
 
-    One rfft of the folded PMF, mirrored by :func:`hermitian_samples`.
-    Requires ``N >= 4 * support_width(f)`` (:func:`require_resolution`);
-    raises :class:`GridTooCoarse` otherwise.
+    One rfft of the folded PMF gives the half spectrum.  Requires
+    ``N >= 4 * support_width(f)`` (:func:`require_resolution`); raises
+    :class:`GridTooCoarse` otherwise.
     """
     require_resolution(f.offset, f.offset + len(f) - 1, grid)
     half = np.fft.rfft(fold_indices(f.probs, f.offset, grid.n_points))
-    return hermitian_samples(half, grid, "exact-from-pmf")
+    return CharFnSamples(grid, half, "exact-from-pmf")
+
+
+def require_sample_size(size) -> None:
+    """ValueError unless each number of draws in ``size`` is at least 100."""
+    if np.min(size) < MIN_SAMPLE_SIZE:
+        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {np.min(size)}")
+
+
+def sample_histogram(samples, grid: FrequencyGrid) -> tuple[np.ndarray, int]:
+    """(counts, lo): how many draws equal lo, lo + 1, ..., max, lo the smallest.
+    Runs :func:`integer_samples`, :func:`require_sample_size`, then
+    :func:`require_resolution` before counting, so a refused grid allocates
+    nothing as wide as the sample range."""
+    xi = integer_samples(samples)
+    require_sample_size(xi.size)
+    lo = int(xi.min())
+    require_resolution(lo, int(xi.max()), grid)
+    return np.bincount(xi - lo), lo
 
 
 def empirical_charfn(samples, grid: FrequencyGrid) -> CharFnSamples:
     """Empirical characteristic function (1/m) sum_i e^{j mu X_i}: the
-    histogram of the draws over m, synthesized as in :func:`eval_charfn`
-    under its :func:`require_resolution` (checked before counting, so a
-    refused grid allocates nothing as wide as the sample range).  Not
-    clipped to the unit disk: |Phi| > 1 is informative."""
-    xi = integer_samples(samples)
-    lo, hi = int(xi.min()), int(xi.max())
-    require_resolution(lo, hi, grid)
-    half = np.fft.rfft(fold_indices(np.bincount(xi - lo) / xi.size, lo, grid.n_points))
+    :func:`sample_histogram` over m, synthesized as in :func:`eval_charfn`.
+    Not clipped to the unit disk: |Phi| > 1 is informative."""
+    counts, lo = sample_histogram(samples, grid)
+    half = np.fft.rfft(fold_indices(counts / counts.sum(), lo, grid.n_points))
     half[0] = 1.0  # exact by construction
-    return hermitian_samples(half, grid, "empirical")
-
-
-def hermitian_samples(half: np.ndarray, grid: FrequencyGrid, source: str) -> CharFnSamples:
-    """:class:`CharFnSamples` from ``half`` = conj(Phi) at mu = 0, 2pi/N,
-    ..., pi, the rfft convention: mu = -mu_k holds half[k] and mu_k its
-    conjugate, so the samples are exactly Hermitian."""
-    h = grid.zero_index  # mu = -pi, ..., -2pi/N, then mu = 0, ..., pi - 2pi/N
-    return CharFnSamples(grid, np.concatenate([half[h:0:-1], np.conj(half[:h])]), source)
+    return CharFnSamples(grid, half, "empirical")
 
 
 def unwrap_phase(principal) -> np.ndarray:
@@ -309,12 +315,13 @@ def require_modulus(values, empirical: bool = False) -> tuple[np.ndarray, float]
 def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     """Complex logarithm with a continuous phase.
 
-    The phase is unwrapped along mu in [0, pi] as in the log kernel (the
-    value at pi is the sample at -pi, the same point of the circle), pinned
-    to zero at mu = 0, and extended to negative mu by odd symmetry.  That
-    preserves the Hermitian structure exactly, which is what makes the
-    downstream coefficients real.  Raises :class:`CharFnVanishes` when any
-    sample modulus falls below the :func:`vanishing_floor` of its source.
+    Works on the stored half, mu in [0, pi], as the log kernel does: the
+    phase is unwrapped from mu = 0, pinned to zero there, and extended to
+    negative mu by odd symmetry (log|Phi| by even symmetry) onto the full
+    grid of :class:`LogCharFnSamples`.  That preserves the Hermitian
+    structure exactly, which is what makes the downstream coefficients
+    real.  Raises :class:`CharFnVanishes` when any sample modulus falls
+    below the :func:`vanishing_floor` of its source.
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
     p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at
@@ -322,13 +329,13 @@ def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
     Sampling either one-sided limit there instead would inject a delta
     into the analysis and a pi/N imaginary residue downstream.
     """
-    v = samples.values
-    mods, min_abs = require_modulus(v, samples.source == "empirical")
-    h = v.shape[-1] // 2
-    half = np.conj(np.concatenate([v[h:], v[:1]]))  # conj(Phi) at mu = 0, ..., pi
+    half = samples.half
+    mods, min_abs = require_modulus(half, samples.source == "empirical")
+    h = samples.grid.zero_index
     ph = np.arctan2(half.imag, half.real)
     unwrap_in_place(ph, np.empty(h))
     ph -= ph[0]
     ph[h] = 0.0  # jump midpoint at pi
+    lm = np.log(mods)  # even about mu = 0, as the phase is odd
     phase = np.concatenate([ph[h:0:-1], -ph[:h]])  # mu = -pi, ..., pi - 2pi/N
-    return LogCharFnSamples(samples.grid, np.log(mods), phase, min_abs)
+    return LogCharFnSamples(samples.grid, np.concatenate([lm[h:0:-1], lm[:h]]), phase, min_abs)

@@ -11,7 +11,7 @@ from . import __version__
 from .charfn import FrequencyGrid, complex_log, empirical_charfn, eval_charfn, grid_for_pmf
 from .decompose import decompose
 from .errors import MuculantError
-from .inference import estimate_muculants, grid_for_samples, poisson_test, require_sample_size
+from .inference import estimate_muculants, grid_for_samples, poisson_test
 from .io import (
     cumulants_to_dict,
     decomposition_to_dict,
@@ -140,9 +140,7 @@ def _cmd_power_muculants(args) -> int:
     if kind == "pmf":
         cf = eval_charfn(value, _grid(args, value, grid_for_pmf))
     else:
-        grid = _grid(args, value, grid_for_samples)
-        require_sample_size(len(value))
-        cf = empirical_charfn(value, grid)
+        cf = empirical_charfn(value, _grid(args, value, grid_for_samples))
     _print_muculants(args, power_muculants(cf, args.n_max))
     return 0
 

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import FrequencyGrid, integer_samples, require_modulus, require_resolution, span_width
-from .charfn import MAX_GRID_POINTS
+from .charfn import MAX_GRID_POINTS, FrequencyGrid, integer_samples, require_modulus
+from .charfn import require_sample_size, sample_histogram, span_width
 from .errors import CharFnVanishes, NegativeSampleValue
 from .transform import MuculantSeq, _log_coefficients
-
-MIN_SAMPLE_SIZE = 100
 
 DEFAULT_WINDOW = (-8, 8)
 
@@ -47,12 +45,6 @@ class PoissonTestResult:
     n_bootstrap_used: int
 
 
-def require_sample_size(size) -> None:
-    """ValueError unless each number of draws in ``size`` is at least 100."""
-    if np.min(size) < MIN_SAMPLE_SIZE:
-        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} samples, got {np.min(size)}")
-
-
 def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
     """Grid for sample data: eight points per index of the sample range (safe
     for bootstrap resamples that overshoot its maximum), carrying indices up
@@ -66,22 +58,19 @@ def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
     """Coefficient estimates from i.i.d. integer draws, by the log kernel
-    of :func:`replicate_statistics` on their histogram (``imag_residual``
-    is 0.0).  Requires at least 100 samples and, as :func:`decompose` does
-    for PMFs, a grid of at least four points per index of the sample range
-    with the origin included (:class:`GridTooCoarse` otherwise: a coarser
-    grid lets the phase unwrap skip a wrap and return wrong coefficients).
-    Raises :class:`CharFnVanishes` when the empirical charfn dips below
-    1e-3 anywhere on the grid, which happens when the spread of the law is
+    of :func:`replicate_statistics` on their :func:`sample_histogram`
+    (``imag_residual`` is 0.0).  Requires at least 100 samples and, as
+    :func:`decompose` does for PMFs, a grid of at least four points per
+    index of the sample range with the origin included
+    (:class:`GridTooCoarse` otherwise: a coarser grid lets the phase unwrap
+    skip a wrap and return wrong coefficients).  Raises
+    :class:`CharFnVanishes` when the empirical charfn dips below 1e-3
+    anywhere on the grid, which happens when the spread of the law is
     heavy relative to the sample size (the estimate would be pure noise
     there, and the coefficients may not exist at all).
     """
-    xi = integer_samples(samples)
-    require_sample_size(xi.size)
-    lo = int(xi.min())
-    require_resolution(lo, int(xi.max()), grid)
-    counts = np.bincount(xi - lo)[None]
-    coef, min_abs = _log_coefficients(counts, lo, grid, n_max, histogram=True)
+    counts, lo = sample_histogram(samples, grid)
+    coef, min_abs = _log_coefficients(counts[None], lo, grid, n_max, histogram=True)
     require_modulus(min_abs, empirical=True)  # the smallest |Phi| is its own modulus
     return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
 

@@ -15,7 +15,6 @@ from .charfn import (
     FrequencyGrid,
     LogCharFnSamples,
     fold_indices,
-    hermitian_samples,
     require_modulus,
     span_width,
     support_width,
@@ -124,15 +123,18 @@ def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, 
 
 
 def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
-    """Coefficients of ln |Phi|^2 for n in [-n_max, n_max].
+    """Coefficients of ln |Phi|^2 for n in [-n_max, n_max], n_max <= N/4.
 
     Phase-free, hence computable whenever the modulus stays above the
-    :func:`vanishing_floor` of its source; even about zero by symmetry of |Phi|.
+    :func:`vanishing_floor` of its source: one irfft of the real, even
+    ln |Phi|^2 on the stored half, with no imaginary residue.
     """
-    mods, _ = require_modulus(cf.values, cf.source == "empirical")
-    vals, resid = _real_coefficients(2.0 * np.log(mods), n_max)
+    n = cf.grid.n_points
+    require_index_range(n, n_max)
+    mods, _ = require_modulus(cf.half, cf.source == "empirical")
+    vals = np.fft.irfft(2.0 * np.log(mods), n)[np.arange(-n_max, n_max + 1) % n]
     vals = 0.5 * (vals + vals[::-1])  # exact evenness against fp drift
-    return MuculantSeq(-n_max, n_max, vals, "power", resid)
+    return MuculantSeq(-n_max, n_max, vals, "power", 0.0)
 
 
 def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
@@ -303,13 +305,13 @@ def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:
 def reconstruct_charfn(seq: MuculantSeq, grid: FrequencyGrid) -> CharFnSamples:
     """exp(sum_n c[n] e^{j mu n}) on the grid.
 
-    Computed on mu in [0, pi] by :func:`_half_charfn` and mirrored onto the
-    grid by :func:`hermitian_samples`, so the samples are exactly Hermitian
+    Computed on mu in [0, pi] by :func:`_half_charfn`, the half that
+    :class:`CharFnSamples` stores, so the samples are exactly Hermitian
     however large |Phi| runs.  The all-zero sequence gives Phi identically
     one (the unit mass at zero).  Power sequences carry no phase and cannot
     be inverted here.
     """
-    return hermitian_samples(_half_charfn(seq, grid.n_points), grid, "reconstructed")
+    return CharFnSamples(grid, _half_charfn(seq, grid.n_points), "reconstructed")
 
 
 def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:

@@ -148,12 +148,14 @@ def zoo_pmf(spec: DistributionSpec) -> PMF:
 
 
 def zoo_charfn(spec: DistributionSpec, grid: FrequencyGrid) -> CharFnSamples:
-    """Characteristic function from its closed form, evaluated pointwise."""
-    z = np.exp(1j * grid.points)
+    """Characteristic function from its closed form, evaluated pointwise at
+    mu = 0, -2pi/N, ..., -pi: the stored half, as Phi(-mu) = conj(Phi(mu))."""
+    mu = grid.points[grid.zero_index :: -1]
+    z = np.exp(1j * mu)
     if isinstance(spec, Poisson):
         vals = np.exp(spec.lam * (z - 1.0))
     elif isinstance(spec, Degenerate):
-        vals = np.exp(1j * grid.points * spec.m)
+        vals = np.exp(1j * mu * spec.m)
     elif isinstance(spec, Bernoulli):
         vals = 1.0 - spec.p + spec.p * z
     elif isinstance(spec, Geometric):

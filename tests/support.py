@@ -27,6 +27,25 @@ def min_abs_charfn(f: PMF) -> float:
     return float(np.min(np.abs(eval_charfn(f, _SCREEN_GRID).values)))
 
 
+def reference_is_hermitian(v) -> bool:
+    """Whether full-grid samples (trailing axis, mu = -pi, ..., pi - 2pi/N)
+    are Hermitian within 1e-10: index k against the conjugate of N - k, and
+    0 (mu = -pi) and N/2 (mu = 0) against their own conjugates."""
+    partner = np.concatenate([v[..., :1], v[..., 1:][..., ::-1]], axis=-1)
+    return bool(np.max(np.abs(v - np.conj(partner))) <= 1e-10)
+
+
+def half_of(values) -> np.ndarray:
+    """conj(Phi) at mu = 0, 2pi/N, ..., pi from full-grid samples: the half
+    that ``CharFnSamples`` stores.  ValueError unless the samples are
+    Hermitian (:func:`reference_is_hermitian`)."""
+    v = np.asarray(values)
+    if not reference_is_hermitian(v):
+        raise ValueError("samples are not Hermitian within 1e-10")
+    h = v.shape[-1] // 2
+    return np.conj(np.concatenate([v[..., h:], v[..., :1]], axis=-1))
+
+
 def grid_muculants(f: PMF, n_points: int, n_max: int):
     """Full numerical route: sample, log, analyze."""
     cf = eval_charfn(f, FrequencyGrid(n_points))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from muculants import (
+    Binomial,
     CharFnSamples,
     CharFnVanishes,
     EmptySample,
@@ -25,16 +26,16 @@ from muculants import (
     support_width,
     unwrap_phase,
     validate_pmf,
+    zoo_charfn,
 )
 from muculants.charfn import (
     MAX_GRID_POINTS,
-    check_charfn_values,
     fold_indices,
     span_width,
     unwrap_in_place,
 )
 
-from support import random_pmf, sampling_noise_draw
+from support import half_of, random_pmf, reference_is_hermitian, sampling_noise_draw
 
 
 @pytest.mark.parametrize("n", [63, 65, 100, 32, 0])
@@ -162,11 +163,6 @@ def reference_grid_analysis(values, ns):
     return np.where(ns % 2 == 0, 1.0, -1.0) * coef[..., ns % n]
 
 
-def reference_is_hermitian(v):
-    partner = np.concatenate([v[..., :1], v[..., 1:][..., ::-1]], axis=-1)
-    return np.max(np.abs(v - np.conj(partner))) <= 1e-10
-
-
 def _kernel_cases():
     rng = np.random.default_rng(11)
     for n in (64, 128, 1024):
@@ -229,32 +225,45 @@ def test_fold_matches_the_add_at_fold_bit_for_bit():
 
 def test_hermitian_check_matches_reference():
     n, h = 128, 64
+    grid = FrequencyGrid(n)
     rng = np.random.default_rng(13)
-    stacked = grid_synthesis(rng.dirichlet(np.ones(9), size=4), -3, FrequencyGrid(n))
+    stacked = grid_synthesis(rng.dirichlet(np.ones(9), size=4), -3, grid)
     for v in (stacked[0], stacked):
         assert reference_is_hermitian(v)
-        check_charfn_values(v)
-    # (index, added value, refused): a pair k / N - k, then the self-paired
-    # samples 0 (mu = -pi) and N/2 (mu = 0), where only the imaginary part counts
-    cases = [
+        half_of(v)
+    # (index, added value, refused) on the full grid.  A pair k / N - k is
+    # out of the type's reach (it stores the half), so the reference rules
+    for index, step, refused in [
         (5, 2e-10, True), (n - 5, 2e-10, True), (1, -2e-10, True), (7, 5e-11, False),
-        (0, 2e-10j, True), (h, 2e-10j, True), (0, 6e-11j, True), (h, -6e-11j, True),
-        (0, 4e-11j, False), (h, -4e-11j, False), (h, 1e-3, False),
-    ]
-    for index, step, refused in cases:
+    ]:
         for v in (stacked[2], stacked):
             bad = v.copy()
             bad[..., index] += step
             assert reference_is_hermitian(bad) is not refused
             if refused:
                 with pytest.raises(ValueError, match="not Hermitian"):
-                    check_charfn_values(bad)
+                    half_of(bad)
             else:
-                check_charfn_values(bad)
-    bad = stacked[1].copy()
+                half_of(bad)
+    # the self-paired samples 0 (mu = -pi, half[h]) and N/2 (mu = 0,
+    # half[0]), where only the imaginary part counts, reach the constructor
+    for index, step, refused in [
+        (0, 2e-10j, True), (h, 2e-10j, True), (0, 6e-11j, True), (h, -6e-11j, True),
+        (0, 4e-11j, False), (h, -4e-11j, False), (h, 1e-3, False),
+    ]:
+        bad = stacked[2].copy()
+        bad[index] += step
+        assert reference_is_hermitian(bad) is not refused
+        half = np.conj(np.concatenate([bad[h:], bad[:1]]))  # unchecked
+        if refused:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                CharFnSamples(grid, half, "empirical")
+        else:
+            CharFnSamples(grid, half, "empirical")
+    bad = half_of(stacked[1])
     bad[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        CharFnSamples(FrequencyGrid(n), bad, "empirical")
+    with pytest.raises(ValueError, match=r"^half must be finite$"):
+        CharFnSamples(grid, bad, "empirical")
 
 
 def test_eval_charfn_basics():
@@ -274,16 +283,16 @@ def test_eval_charfn_needs_resolution():
 
 def test_charfn_samples_reject_non_hermitian():
     g = FrequencyGrid(64)
-    vals = np.exp(1j * np.linspace(0, 1, 64))  # no conjugate symmetry
-    with pytest.raises(ValueError):
-        CharFnSamples(g, vals, "exact-from-pmf")
+    half = np.exp(1j * np.linspace(0, 1, 33))  # not real at mu = pi
+    with pytest.raises(ValueError, match="Hermitian"):
+        CharFnSamples(g, half, "exact-from-pmf")
 
 
 def test_charfn_samples_refuse_an_unknown_source_and_an_exact_modulus_above_one():
     g = FrequencyGrid(64)
     with pytest.raises(ValueError, match=r"^unknown source 'sampled'$"):
-        CharFnSamples(g, np.ones(64), "sampled")
-    above = np.full(64, 1.0 + 1e-9)  # real and even: Hermitian
+        CharFnSamples(g, np.ones(33), "sampled")
+    above = np.full(33, 1.0 + 1e-9)  # real: Hermitian
     with pytest.raises(ValueError, match=r"^charfn modulus exceeds one$"):
         CharFnSamples(g, above, "exact-from-pmf")
     for source in ("empirical", "reconstructed"):  # their modulus may exceed one
@@ -293,7 +302,9 @@ def test_charfn_samples_refuse_an_unknown_source_and_an_exact_modulus_above_one(
 def test_empirical_charfn_is_sample_average():
     samples = np.array([0, 1, 1, 3, -2])
     g = FrequencyGrid(64)
-    cf = empirical_charfn(samples, g)
+    with pytest.raises(ValueError, match=r"^need at least 100 samples, got 5$"):
+        empirical_charfn(samples, g)
+    cf = empirical_charfn(np.tile(samples, 20), g)  # the same average over 100 draws
     direct = np.mean(np.exp(1j * np.outer(g.points, samples)), axis=1)
     np.testing.assert_allclose(cf.values, direct, atol=1e-12)
     assert cf.values[g.zero_index] == 1.0
@@ -334,6 +345,10 @@ def test_empirical_charfn_is_the_mod_n_count_on_a_grid_that_resolves_the_draws()
         lo = int(rng.integers(-300, 300))
         x = lo + rng.poisson(rng.uniform(0.2, 8.0), int(rng.integers(1, 400)))
         smallest = FrequencyGrid.for_width(span_width(int(x.min()), int(x.max())))
+        if x.size < 100:  # refused before the grid is looked at
+            with pytest.raises(ValueError, match=rf"^need at least 100 samples, got {x.size}$"):
+                empirical_charfn(x, FrequencyGrid(64))
+            continue
         for grid in (smallest, FrequencyGrid(2 * smallest.n_points)):
             got = empirical_charfn(x, grid).values
             assert got.tobytes() == mod_n_empirical_values(x, grid).tobytes()
@@ -355,6 +370,36 @@ def test_every_charfn_the_package_builds_is_exactly_hermitian():
         v = cf.values
         np.testing.assert_array_equal(v[1:h], np.conj(v[:h:-1]))
         assert v[0].imag == 0.0 and v[h].imag == 0.0, cf.source
+
+
+def test_values_mirror_the_half_bit_for_bit():
+    # mu = -mu_k holds half[k], mu = mu_k its conjugate; -pi holds half[h]
+    rng = np.random.default_rng(23)
+    g = FrequencyGrid(128)
+    h = g.zero_index
+    seq = MuculantSeq(-3, 5, 0.4 * rng.standard_normal(9), "complex", 0.0)
+    for cf in (
+        eval_charfn(validate_pmf(-4, [0.1, 0.6, 0.3]), g),
+        empirical_charfn(rng.integers(-9, 20, 300), g),
+        reconstruct_charfn(seq, g),
+        zoo_charfn(Binomial(5, 0.7), g),
+    ):
+        v, half = cf.values, cf.half
+        assert v.shape == (g.n_points,) and half.shape == (h + 1,)
+        for k in range(1, h + 1):
+            assert v[h - k].tobytes() == half[k].tobytes(), (cf.source, k)
+        for k in range(h):
+            assert v[h + k].tobytes() == np.conj(half[k]).tobytes(), (cf.source, k)
+        with pytest.raises(AttributeError):
+            cf.values = v  # derived, not stored
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_charfn_samples_refuse_a_full_grid_array(n):
+    full = eval_charfn(validate_pmf(0, [0.3, 0.7]), FrequencyGrid(n)).values
+    for source in ("exact-from-pmf", "empirical", "reconstructed"):
+        with pytest.raises(ValueError, match=rf"^half must have length {n // 2 + 1}, got {n}$"):
+            CharFnSamples(FrequencyGrid(n), full, source)
 
 
 def test_empirical_charfn_input_checks():
@@ -499,4 +544,4 @@ def test_staged_route_holds_empirical_charfns_to_the_empirical_floor():
             route()
         assert str(exc.value) == message
     # the same values held as an exact charfn meet only the 1e-8 floor
-    complex_log(CharFnSamples(grid, cf.values, "reconstructed"))
+    complex_log(CharFnSamples(grid, cf.half, "reconstructed"))

@@ -41,7 +41,12 @@ No linter ships with the test dependencies, so these are small stdlib-only
   caller-chosen grid, ``eval_charfn``, ``empirical_charfn``,
   ``estimate_muculants`` and ``decompose``, each call
   ``require_resolution`` (a grid below four points per index of the
-  support lets the phase unwrap skip a wrap).
+  support lets the phase unwrap skip a wrap), the two sample routes
+  through ``charfn.sample_histogram``, which calls it itself;
+- the sample histogram has one home: ``np.bincount`` is called only in
+  ``charfn.sample_histogram``, and the 100-draw rule with it:
+  ``MIN_SAMPLE_SIZE`` is assigned only in ``charfn.py``, and ``cli.py``
+  names neither it nor ``require_sample_size``.
 """
 
 import ast
@@ -78,9 +83,9 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def setflags_callers(source: str) -> list[str]:
-    """Name of the function around each ``.setflags(`` call, in source
-    order; "<module>" for a call outside any function."""
+def callers_of(source: str, name: str) -> list[str]:
+    """Name of the function around each call to ``name``, bare or dotted,
+    in source order; "<module>" for a call outside any function."""
     found = []
 
     def visit(node, owner):
@@ -90,8 +95,7 @@ def setflags_callers(source: str) -> list[str]:
                 continue
             if (
                 isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "setflags"
+                and getattr(child.func, "attr", getattr(child.func, "id", None)) == name
             ):
                 found.append(owner)
             visit(child, owner)
@@ -106,12 +110,13 @@ def test_checker_finds_setflags_callers():
         "class C:\n    def g(self):\n        self.x.setflags(write=False)\n"
         "y.setflags(write=False)\n"
     )
-    assert setflags_callers(source) == ["f", "g", "<module>"]
-    assert setflags_callers("np.zeros(3).flags.writeable\n") == []
+    assert callers_of(source, "setflags") == ["f", "g", "<module>"]
+    assert callers_of("np.zeros(3).flags.writeable\n", "setflags") == []
+    assert callers_of("def h(x):\n    return bincount(x)\n", "bincount") == ["h"]
 
 
 def test_only_frozen_vector_freezes_arrays():
-    callers = {p.name: setflags_callers(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {p.name: callers_of(p.read_text(), "setflags") for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: c for name, c in callers.items() if c} == {"pmf.py": ["frozen_vector"]}
 
 
@@ -312,9 +317,27 @@ SYNTHESES = {
     "decompose.py": ("decompose",),
 }
 
+# routes that take the rule through the sample histogram, which runs it
+SAMPLE_ROUTES = ("empirical_charfn", "estimate_muculants")
+
 
 def test_every_synthesis_on_a_caller_chosen_grid_requires_resolution():
     for module, functions in SYNTHESES.items():
         source = (PACKAGE / module).read_text()
         for function in functions:
-            assert "require_resolution" in function_calls(source, function), function
+            rules = {"require_resolution"}
+            if function in SAMPLE_ROUTES:
+                rules.add("sample_histogram")
+            assert rules & function_calls(source, function), function
+    charfn = (PACKAGE / "charfn.py").read_text()
+    assert "require_resolution" in function_calls(charfn, "sample_histogram")
+
+
+def test_the_sample_histogram_has_one_home():
+    callers = {p.name: callers_of(p.read_text(), "bincount") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: c for name, c in callers.items() if c} == {"charfn.py": ["sample_histogram"]}
+    homes = {p.name: assigned_lines(p.read_text(), "MIN_SAMPLE_SIZE") for p in PACKAGE.glob("*.py")}
+    assert [module for module, lines in homes.items() if lines] == ["charfn.py"]
+    cli = (PACKAGE / "cli.py").read_text()
+    for name in ("require_sample_size", "MIN_SAMPLE_SIZE"):
+        assert name_uses(cli, name) == [], name

@@ -20,21 +20,17 @@ from muculants import (
     grid_for_samples,
     poisson_statistic,
     poisson_test,
+    power_muculants,
     zoo_muculants,
     zoo_pmf,
 )
-from muculants.charfn import (
-    check_charfn_values,
-    grid_analysis,
-    grid_synthesis,
-    unwrap_phase,
-)
+from muculants.charfn import grid_analysis, grid_synthesis, unwrap_phase
 import muculants.inference as inference
 import muculants.transform as transform
 from muculants.inference import replicate_statistics
 from muculants.transform import _log_coefficients
 
-from support import reference_log_coefficients
+from support import reference_is_hermitian, reference_log_coefficients
 
 
 def test_sample_grid_sizing():
@@ -228,7 +224,7 @@ def reference_replicate_statistics(counts, offset, grid, window):
         c = counts[part]
         values = grid_synthesis(c / c.sum(axis=-1, keepdims=True), offset, grid)
         values[:, grid.zero_index] = 1.0
-        check_charfn_values(values)
+        assert reference_is_hermitian(values)
         mods = np.abs(values)
         keep = mods.min(axis=-1) >= 1e-3
         if keep.any():
@@ -287,6 +283,21 @@ def estimate_cases():
         "two-signed": rng.integers(-3, 4, 2_000) + rng.poisson(0.3, 2_000),
         "winding": np.array([0] * 300 + [1] * 700),  # Bernoulli(0.7): phase pi at pi
     }
+
+
+def test_every_sample_route_refuses_fewer_than_100_draws():
+    # 20 Poisson(1) draws: the staged route returned c[1] = 1.1429 where
+    # estimate_muculants refused them; the one sample histogram holds the rule
+    x = np.random.default_rng(5).poisson(1.0, 20)
+    grid = FrequencyGrid(64)
+    for route in (
+        lambda: staged_estimate(x, grid, 4),
+        lambda: power_muculants(empirical_charfn(x, grid), 4),
+        lambda: estimate_muculants(x, grid, 4),
+        lambda: empirical_charfn(x + 1000, grid),  # before the resolution check
+    ):
+        with pytest.raises(ValueError, match=r"^need at least 100 samples, got 20$"):
+            route()
 
 
 @pytest.mark.parametrize("name", list(estimate_cases()))

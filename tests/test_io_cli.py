@@ -589,7 +589,7 @@ def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
         )
 
 
-def test_cli_power_muculants_reads_samples_of_any_range(capsys, tmp_path):
+def test_cli_sample_routes_refuse_a_grid_that_does_not_resolve_the_range(capsys, tmp_path):
     # both sample routes refuse a grid that does not resolve the sample
     # range, before anything as wide as that range (10^15 here) is allocated
     p = write_samples(tmp_path / "wide.txt", [0] * 99 + [10**15])

@@ -257,8 +257,8 @@ ARRAY_FIELDS = {
     "MuculantSeq.values": (
         lambda a: MuculantSeq(-1, 1, a, "complex", 0.0), [0.1, -0.5, 0.2], True
     ),
-    "CharFnSamples.values": (
-        lambda a: CharFnSamples(_GRID, a, "exact-from-pmf"), _CF.values, True
+    "CharFnSamples.half": (
+        lambda a: CharFnSamples(_GRID, a, "exact-from-pmf"), _CF.half, True
     ),
     "LogCharFnSamples.log_magnitude": (
         lambda a: LogCharFnSamples(_GRID, a, _LOG.phase, _LOG.min_abs), _LOG.log_magnitude, True

@@ -7,7 +7,6 @@ import pytest
 from muculants import (
     Bernoulli,
     Binomial,
-    CharFnSamples,
     CharFnVanishes,
     Degenerate,
     FrequencyGrid,
@@ -41,7 +40,7 @@ from muculants import (
 from muculants.charfn import fold_indices, span_width
 from muculants.transform import _log_coefficients
 
-from support import CAUSAL_ZOO_SWEEP, grid_muculants, random_pmf, sampling_noise_draw
+from support import CAUSAL_ZOO_SWEEP, grid_muculants, half_of, random_pmf, sampling_noise_draw
 
 
 # the package namespace re-exports functions under their modules' names
@@ -581,20 +580,22 @@ def test_reconstruct_sequence_far_mass_is_too_small_a_window():
 
 
 def reference_reconstruct_charfn(seq, grid):
-    """The full-grid route: synthesis over all N points, then exp."""
+    """The full-grid route: synthesis over all N points, then exp.  Returns
+    the N values, refused unless Hermitian within 1e-10 (``half_of``)."""
     if seq.kind != "complex":
         raise ValueError("reconstruction needs complex-kind coefficients")
-    log_values = grid_synthesis(seq.values, seq.n_min, grid)
-    return CharFnSamples(grid, np.exp(log_values), "reconstructed")
+    values = np.exp(grid_synthesis(seq.values, seq.n_min, grid))
+    half_of(values)
+    return values
 
 
 def reference_window(seq, lo, hi):
     """The full-grid route's window values and discarded magnitude."""
     grid = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min))
-    cf = reference_reconstruct_charfn(seq, grid)
+    values = reference_reconstruct_charfn(seq, grid)
     n = grid.n_points
     ns = np.arange(-(n // 2), n // 2)
-    full = grid_analysis(cf.values, ns).real
+    full = grid_analysis(values, ns).real
     inside = (ns >= lo) & (ns <= hi)
     discarded = float(np.sum(np.abs(full[~inside])))
     return full[inside], discarded
@@ -640,7 +641,7 @@ def test_reconstruct_charfn_matches_the_full_grid_route():
     for seq in sweep_sequences():
         for n in (64, 512, 4096):
             got = reconstruct_charfn(seq, FrequencyGrid(n)).values
-            want = reference_reconstruct_charfn(seq, FrequencyGrid(n)).values
+            want = reference_reconstruct_charfn(seq, FrequencyGrid(n))
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, (seq.n_min, seq.n_max, n)
 
@@ -723,6 +724,29 @@ def test_bridge_refuses_an_order_whose_weights_overflow():
     # a noisy tail meets the tail guard before any overflow
     with pytest.raises(TruncationUnsafe):
         cumulants_from_muculants(zoo_muculants(Degenerate(2), (-60, 60)), 173)
+
+
+def test_power_muculants_takes_one_irfft(monkeypatch):
+    # ln |Phi|^2 on the stored half: one inverse transform, nothing else
+    grid = FrequencyGrid(256)
+    cf = eval_charfn(zoo_pmf(NegativeBinomial(2, 0.3)), grid)
+    want = power_muculants(cf, 30)
+    calls = []
+    irfft = np.fft.irfft
+
+    def spy(*args, **kw):
+        calls.append(len(args[0]))
+        return irfft(*args, **kw)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a second transform ran")
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    for name in ("fft", "ifft", "rfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    got = power_muculants(cf, 30)
+    assert calls == [grid.zero_index + 1]
+    assert got.values.tobytes() == want.values.tobytes() and got.imag_residual == 0.0
 
 
 def test_bridge_rejects_power_kind():

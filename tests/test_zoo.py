@@ -183,6 +183,31 @@ def test_closed_form_charfn_matches_pmf_transform(spec):
     np.testing.assert_allclose(closed.values, sampled.values, atol=2e-12)
 
 
+def closed_form_charfn(spec, mu):
+    """Phi(mu) of the family, pointwise at every given mu."""
+    z = np.exp(1j * mu)
+    if isinstance(spec, Poisson):
+        return np.exp(spec.lam * (z - 1.0))
+    if isinstance(spec, Degenerate):
+        return np.exp(1j * mu * spec.m)
+    if isinstance(spec, Bernoulli):
+        return 1.0 - spec.p + spec.p * z
+    if isinstance(spec, Geometric):
+        return spec.p / (1.0 - (1.0 - spec.p) * z)
+    if isinstance(spec, NegativeBinomial):
+        return ((1.0 - spec.p) / (1.0 - spec.p * z)) ** spec.r
+    return (1.0 - spec.p + spec.p * z) ** spec.n
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [Degenerate(-7)])
+def test_closed_form_charfn_holds_on_every_grid_point(spec):
+    # the half is evaluated at mu = 0..-pi; its conjugates stand for mu > 0
+    for n in (64, 4096):
+        g = FrequencyGrid(n)
+        got = zoo_charfn(spec, g).values
+        assert np.max(np.abs(got - closed_form_charfn(spec, g.points))) <= 1e-14, n
+
+
 # -------------------------------------------------------------- coefficients
 
 
