@@ -203,20 +203,22 @@ class CharFnSamples:
 
 @dataclass(frozen=True)
 class LogCharFnSamples:
-    """log magnitude and continuous (unwrapped) phase of sampled charfn values.
+    """log conj(Phi) with a continuous (unwrapped) phase at mu = 0, 2pi/N,
+    ..., pi: the half that a Hermitian log carries in full, as
+    :class:`CharFnSamples` stores the half charfn.
 
-    The phase is exactly zero at mu = 0 and exactly odd about it; ``min_abs``
-    records how close the input came to the vanishing threshold.
+    The phase is exactly zero at the self-paired points mu = 0 and pi;
+    ``min_abs`` records how close the input came to the vanishing threshold.
     """
 
     grid: FrequencyGrid
-    log_magnitude: np.ndarray
-    phase: np.ndarray
+    half: np.ndarray
     min_abs: float
 
     def __post_init__(self):
-        frozen_vector(self, "log_magnitude", self.grid.n_points)
-        frozen_vector(self, "phase", self.grid.n_points)
+        half = frozen_vector(self, "half", self.grid.zero_index + 1, np.complex128)
+        if half[:: self.grid.zero_index].imag.any():
+            raise ValueError("phase must be zero at mu = 0 and pi")
 
 
 def eval_charfn(f: PMF, grid: FrequencyGrid) -> CharFnSamples:
@@ -312,30 +314,33 @@ def require_modulus(values, empirical: bool = False) -> tuple[np.ndarray, float]
     return mods, min_abs
 
 
-def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
-    """Complex logarithm with a continuous phase.
+def log_half(half: np.ndarray, mods: np.ndarray, out: np.ndarray, steps: np.ndarray) -> None:
+    """log of half-spectrum charfn values ``half`` (trailing axis mu = 0..pi)
+    with moduli ``mods``, written into the complex ``out``: the principal
+    phase, unwrapped along the trailing axis through ``steps`` (one shorter,
+    see :func:`unwrap_in_place`), and log |Phi|.  No allocation."""
+    np.arctan2(half.imag, half.real, out=out.imag)
+    np.log(mods, out=out.real)
+    unwrap_in_place(out.imag, steps)
 
-    Works on the stored half, mu in [0, pi], as the log kernel does: the
-    phase is unwrapped from mu = 0, pinned to zero there, and extended to
-    negative mu by odd symmetry (log|Phi| by even symmetry) onto the full
-    grid of :class:`LogCharFnSamples`.  That preserves the Hermitian
-    structure exactly, which is what makes the downstream coefficients
-    real.  Raises :class:`CharFnVanishes` when any sample modulus falls
-    below the :func:`vanishing_floor` of its source.
+
+def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
+    """Complex logarithm with a continuous phase, on the stored half.
+
+    The log kernel's arithmetic (:func:`log_half`): the phase is unwrapped
+    from mu = 0 and pinned to zero there.  Raises :class:`CharFnVanishes`
+    when any sample modulus falls below the :func:`vanishing_floor` of its
+    source.
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
-    p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at
-    -pi is then set to the jump midpoint, which oddness forces to zero.
-    Sampling either one-sided limit there instead would inject a delta
-    into the analysis and a pi/N imaginary residue downstream.
+    p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at pi
+    is then set to the jump midpoint, which oddness forces to zero and which
+    the coefficients' irfft counts there in any case.
     """
-    half = samples.half
-    mods, min_abs = require_modulus(half, samples.source == "empirical")
+    mods, min_abs = require_modulus(samples.half, samples.source == "empirical")
     h = samples.grid.zero_index
-    ph = np.arctan2(half.imag, half.real)
-    unwrap_in_place(ph, np.empty(h))
-    ph -= ph[0]
-    ph[h] = 0.0  # jump midpoint at pi
-    lm = np.log(mods)  # even about mu = 0, as the phase is odd
-    phase = np.concatenate([ph[h:0:-1], -ph[:h]])  # mu = -pi, ..., pi - 2pi/N
-    return LogCharFnSamples(samples.grid, np.concatenate([lm[h:0:-1], lm[:h]]), phase, min_abs)
+    log = np.empty(h + 1, dtype=complex)
+    log_half(samples.half, mods, log, np.empty(h))
+    log.imag -= log.imag[0]  # a caller-built charfn may carry up to 5e-11 there
+    log.imag[h] = 0.0  # jump midpoint at pi
+    return LogCharFnSamples(samples.grid, log, min_abs)

@@ -39,11 +39,6 @@ class CharFnVanishes(MuculantError):
     numerically defined and may not exist at all."""
 
 
-class ImagResidualTooLarge(MuculantError):
-    """Imaginary parts of the computed coefficients exceed tolerance, which
-    signals a failed phase unwrap or non-Hermitian input."""
-
-
 class NotApplicable(MuculantError):
     """The causal coefficient recursion requires a minimum-phase PMF whose
     support starts at zero with a nonvanishing leading probability."""

@@ -15,21 +15,16 @@ from .charfn import (
     FrequencyGrid,
     LogCharFnSamples,
     fold_indices,
+    log_half,
     require_modulus,
     span_width,
     support_width,
-    unwrap_in_place,
     vanishing_floor,
 )
-from .errors import (
-    ImagResidualTooLarge,
-    NotApplicable,
-    SupportTooSmall,
-    TruncationUnsafe,
-)
+from .errors import NotApplicable, SupportTooSmall, TruncationUnsafe
 from .pmf import PMF, CumulantVector, SignedSequence, frozen_vector, is_minimum_phase
 
-# Imaginary parts above this mean the transform went wrong.
+# Largest imaginary residue a JSON coefficient file may record.
 IMAG_TOL = 1e-8
 
 # Even-symmetry slack for power sequences.
@@ -46,8 +41,10 @@ class MuculantSeq:
     """Real coefficients for integer indices n_min..n_max (n_min <= 0 <= n_max).
 
     ``kind`` is "complex" (transform of log Phi) or "power" (transform of
-    ln |Phi|^2, even about zero).  ``imag_residual`` records the largest
-    imaginary part discarded when the coefficients were computed.
+    ln |Phi|^2, even about zero).  ``imag_residual`` is the largest
+    imaginary part discarded when the coefficients were computed: every
+    route here computes on the half spectrum and returns 0.0, and the field
+    carries what a JSON coefficient file holds (below 1e-8).
     """
 
     n_min: int
@@ -86,14 +83,12 @@ class MuculantSeq:
 
 
 def complex_muculants(logcf: LogCharFnSamples, n_max: int) -> MuculantSeq:
-    """Coefficients of log Phi for n in [-n_max, n_max].
-
-    ``n_max`` may not exceed N/4 (aliasing guard).  The math says the
-    coefficients are real; imaginary residue at or above 1e-8 raises
-    :class:`ImagResidualTooLarge` instead of being silently dropped.
-    """
-    coef, resid = _real_coefficients(logcf.log_magnitude + 1j * logcf.phase, n_max)
-    return MuculantSeq(-n_max, n_max, coef, "complex", resid)
+    """Coefficients of log Phi for n in [-n_max, n_max], n_max <= N/4
+    (aliasing guard): one :func:`_cepstrum` of the stored half log, real by
+    construction."""
+    n = logcf.grid.n_points
+    require_index_range(n, n_max)
+    return MuculantSeq(-n_max, n_max, _cepstrum(logcf.half, n, n_max), "complex", 0.0)
 
 
 def require_index_range(n_points: int, n_max: int) -> None:
@@ -103,36 +98,24 @@ def require_index_range(n_points: int, n_max: int) -> None:
         raise ValueError(f"n_max must be in 1..{n_points // 4} for this grid")
 
 
-def _real_coefficients(log_values: np.ndarray, n_max: int) -> tuple[np.ndarray, float]:
-    """Coefficients of grid-sampled log values L for n in [-n_max, n_max]
-    (``n_max`` at most N/4): the real parts, one irfft of the Hermitian part
-    (L(-mu) + conj(L(mu))) / 2 on mu in [0, pi] as in the log kernel, and the
-    imaginary residue, one of the rest (0.0 untransformed where it is exactly
-    zero), refused at or above 1e-8."""
-    n = len(log_values)
-    require_index_range(n, n_max)
-    mirror = log_values[n // 2 :: -1]  # mu = 0, -2pi/N, ..., -pi
-    conjugate = np.conj(np.concatenate([log_values[n // 2 :], log_values[:1]]))  # mu = 0, ..., pi
-    ns = np.arange(-n_max, n_max + 1) % n
-    coef = np.fft.irfft(0.5 * (mirror + conjugate), n)[ns]
-    odd = 0.5 * (mirror - conjugate)
-    resid = float(np.max(np.abs(np.fft.irfft(-1j * odd, n)[ns]))) if odd.any() else 0.0
-    if resid >= IMAG_TOL:
-        raise ImagResidualTooLarge(f"imaginary residue {resid:.3e}")
-    return coef, resid
+def _cepstrum(log: np.ndarray, n: int, n_max: int) -> np.ndarray:
+    """Coefficients c[-n_max..n_max] of a Hermitian log given on mu = 0..pi
+    (trailing axis, N/2 + 1 points): one irfft, read at k mod N.  The irfft
+    keeps only the real part at mu = 0 and pi."""
+    return np.fft.irfft(log, n)[..., np.arange(-n_max, n_max + 1) % n]
 
 
 def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
     """Coefficients of ln |Phi|^2 for n in [-n_max, n_max], n_max <= N/4.
 
     Phase-free, hence computable whenever the modulus stays above the
-    :func:`vanishing_floor` of its source: one irfft of the real, even
-    ln |Phi|^2 on the stored half, with no imaginary residue.
+    :func:`vanishing_floor` of its source: one :func:`_cepstrum` of the
+    real, even ln |Phi|^2 on the stored half.
     """
     n = cf.grid.n_points
     require_index_range(n, n_max)
     mods, _ = require_modulus(cf.half, cf.source == "empirical")
-    vals = np.fft.irfft(2.0 * np.log(mods), n)[np.arange(-n_max, n_max + 1) % n]
+    vals = _cepstrum(2.0 * np.log(mods), n, n_max)
     vals = 0.5 * (vals + vals[::-1])  # exact evenness against fp drift
     return MuculantSeq(-n_max, n_max, vals, "power", 0.0)
 
@@ -235,9 +218,10 @@ def _log_coefficients(weights, offset, grid, n_max, *, histogram=False):
     draws (floor 1e-3), divided by their row sum, Phi(0) set to exactly 1.
 
     Phi is Hermitian, so one rfft of the folded weights gives conj(Phi) on
-    mu in [0, pi]; its log, the phase unwrapped from mu = 0, goes through
-    one irfft per row.  The irfft keeps only the real part at pi, so the
-    phase there counts as the jump midpoint 0, as in :func:`complex_log`.
+    mu in [0, pi]; its :func:`log_half`, the phase unwrapped from mu = 0,
+    goes through one :func:`_cepstrum` per chunk.  That keeps only the real
+    part at pi, so the phase there counts as the jump midpoint 0, as in
+    :func:`complex_log`.
     Rows go through :func:`_log_chunk` ``_CHUNK_POINTS`` grid points at a
     time, in one :func:`_workspace` per call; no bit depends on the chunks.
     """
@@ -276,12 +260,8 @@ def _log_chunk(weights, offset, n, histogram, work, out, min_abs) -> None:
         if k < rows:
             spec[:k] = spec[keep]
             mods[:k] = mods[keep]
-        spec, mods, log = spec[:k], mods[:k], log[:k]
-        np.arctan2(spec.imag, spec.real, out=log.imag)
-        np.log(mods, out=log.real)
-        unwrap_in_place(log.imag, steps[:k])
-        cepstrum = np.fft.irfft(log, n)  # c[k] at k mod N
-        out[keep] = cepstrum[:, np.arange(-n_max, n_max + 1) % n]
+        log_half(spec[:k], mods[:k], log[:k], steps[:k])
+        out[keep] = _cepstrum(log[:k], n, n_max)
 
 
 def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:

@@ -471,35 +471,33 @@ def test_complex_log_round_trip():
     f = random_pmf(rng)
     cf = eval_charfn(f, FrequencyGrid(256))
     lg = complex_log(cf)
-    rebuilt = np.exp(lg.log_magnitude + 1j * lg.phase)
-    # the sample at -pi takes the midpoint of the phase jump, so a winding
+    rebuilt = np.exp(lg.half)
+    # the sample at pi takes the midpoint of the phase jump, so a winding
     # charfn may come back sign-flipped there; everywhere else exact
-    np.testing.assert_allclose(rebuilt[1:], cf.values[1:], atol=1e-12)
-    assert abs(rebuilt[0]) == pytest.approx(abs(cf.values[0]), abs=1e-12)
+    np.testing.assert_allclose(rebuilt[:-1], cf.half[:-1], atol=1e-12)
+    assert abs(rebuilt[-1]) == pytest.approx(abs(cf.half[-1]), abs=1e-12)
 
 
 def test_complex_log_phase_is_odd_magnitude_even():
     f = validate_pmf(-2, [0.2, 0.3, 0.1, 0.4])
-    lg = complex_log(eval_charfn(f, FrequencyGrid(256)))
-    n = 256
-    # indices k and n-k sit at +/- mu for k = 1..n/2-1
-    np.testing.assert_allclose(
-        lg.phase[1 : n // 2], -lg.phase[n // 2 + 1 :][::-1], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        lg.log_magnitude[1 : n // 2], lg.log_magnitude[n // 2 + 1 :][::-1], atol=1e-12
-    )
-    assert lg.phase[n // 2] == 0.0
+    cf = eval_charfn(f, FrequencyGrid(256))
+    lg = complex_log(cf)
+    # the half stores log conj(Phi); its Hermitian extension is the log of
+    # cf.values, phase odd and magnitude even, so both ends carry phase 0
+    assert lg.half[0].imag == 0.0
+    assert lg.half[-1].imag == 0.0
+    full = np.concatenate([lg.half[128:0:-1], np.conj(lg.half[:128])])
+    np.testing.assert_allclose(np.exp(full[1:]), cf.values[1:], atol=1e-12)
 
 
 def test_complex_log_pins_jump_midpoint_at_edge():
     # a pure shift has phase M*mu, which jumps by 2*pi*M across +/- pi;
-    # the grid sample at -pi must take the midpoint value, zero
+    # the grid sample at pi must take the midpoint value, zero
     f = validate_pmf(3, [1.0])
     lg = complex_log(eval_charfn(f, FrequencyGrid(256)))
-    assert lg.phase[0] == 0.0
-    interior = lg.phase[1:]
-    np.testing.assert_allclose(interior, 3 * FrequencyGrid(256).points[1:], atol=1e-9)
+    assert lg.half[-1].imag == 0.0
+    mu = 2.0 * np.pi * np.arange(128) / 256  # 0, ..., pi - 2pi/N
+    np.testing.assert_allclose(lg.half[:-1].imag, -3 * mu, atol=1e-9)
 
 
 def test_complex_log_raises_on_vanishing_modulus():

@@ -46,7 +46,13 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - the sample histogram has one home: ``np.bincount`` is called only in
   ``charfn.sample_histogram``, and the 100-draw rule with it:
   ``MIN_SAMPLE_SIZE`` is assigned only in ``charfn.py``, and ``cli.py``
-  names neither it nor ``require_sample_size``.
+  names neither it nor ``require_sample_size``;
+- one log arithmetic: ``np.arctan2`` is called only in ``charfn.log_half``,
+  and ``transform._cepstrum`` is the only reader of an ``irfft`` of a log
+  (the only other ``irfft``, in ``reconstruct_sequence``, inverts a
+  charfn); the three coefficient readers, the log kernel,
+  ``complex_muculants`` and ``power_muculants``, each call ``_cepstrum``,
+  and the kernel and ``complex_log`` each call ``log_half``.
 """
 
 import ast
@@ -341,3 +347,21 @@ def test_the_sample_histogram_has_one_home():
     cli = (PACKAGE / "cli.py").read_text()
     for name in ("require_sample_size", "MIN_SAMPLE_SIZE"):
         assert name_uses(cli, name) == [], name
+
+
+def test_the_log_arithmetic_has_one_home():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    arctan2 = {name: callers_of(source, "arctan2") for name, source in sources.items()}
+    assert {name: c for name, c in arctan2.items() if c} == {"charfn.py": ["log_half"]}
+    irfft = {name: callers_of(source, "irfft") for name, source in sources.items()}
+    assert {name: c for name, c in irfft.items() if c} == {
+        "transform.py": ["_cepstrum", "reconstruct_sequence"]
+    }
+    stages = {
+        ("transform.py", "_log_chunk"): {"log_half", "_cepstrum"},
+        ("transform.py", "complex_muculants"): {"_cepstrum"},
+        ("transform.py", "power_muculants"): {"_cepstrum"},
+        ("charfn.py", "complex_log"): {"log_half"},
+    }
+    for (module, function), calls in stages.items():
+        assert calls <= function_calls(sources[module], function), function

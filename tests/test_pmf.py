@@ -260,11 +260,8 @@ ARRAY_FIELDS = {
     "CharFnSamples.half": (
         lambda a: CharFnSamples(_GRID, a, "exact-from-pmf"), _CF.half, True
     ),
-    "LogCharFnSamples.log_magnitude": (
-        lambda a: LogCharFnSamples(_GRID, a, _LOG.phase, _LOG.min_abs), _LOG.log_magnitude, True
-    ),
-    "LogCharFnSamples.phase": (
-        lambda a: LogCharFnSamples(_GRID, _LOG.log_magnitude, a, _LOG.min_abs), _LOG.phase, True
+    "LogCharFnSamples.half": (
+        lambda a: LogCharFnSamples(_GRID, a, _LOG.min_abs), _LOG.half, True
     ),
 }
 

@@ -11,7 +11,6 @@ from muculants import (
     Degenerate,
     FrequencyGrid,
     Geometric,
-    ImagResidualTooLarge,
     LogCharFnSamples,
     MuculantSeq,
     NegativeBinomial,
@@ -119,11 +118,15 @@ def test_n_max_capped_by_grid():
 
 
 def test_non_odd_phase_is_an_error():
-    # a phase with an even component makes the coefficients complex
+    # an odd phase is zero at the self-paired points mu = 0 and pi; a phase
+    # there would make the coefficients complex, so the half log refuses it
     g = FrequencyGrid(64)
-    lg = LogCharFnSamples(g, np.zeros(64), np.cos(g.points), 1.0)
-    with pytest.raises(ImagResidualTooLarge):
-        complex_muculants(lg, 5)
+    LogCharFnSamples(g, np.zeros(33, dtype=complex), 1.0)
+    for k in (0, 32):
+        half = np.zeros(33, dtype=complex)
+        half[k] = 1e-12j
+        with pytest.raises(ValueError, match="^phase must be zero at mu = 0 and pi$"):
+            LogCharFnSamples(g, half, 1.0)
 
 
 # ------------------------------------------------------------- power route
@@ -265,35 +268,26 @@ def test_exactly_hermitian_log_values_take_one_transform(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", spy)
     assert complex_muculants(lg, 20).imag_residual == 0.0
     assert calls == [256]
-    skewed = LogCharFnSamples(lg.grid, lg.log_magnitude, lg.phase + 1e-12, lg.min_abs)
-    assert complex_muculants(skewed, 20).imag_residual > 0.0
-    assert calls == [256, 256, 256]
 
 
-def test_caller_built_log_samples_keep_the_full_grid_contract():
-    # real parts and residue agree with the full-grid analysis, and the
-    # residue refuses the same defects
+def test_caller_built_half_log_matches_the_full_grid_analysis():
+    # any half log is the half of a Hermitian full-grid log: its coefficients
+    # are one irfft, and the full N-point analysis of that extension agrees
     rng = np.random.default_rng(23)
-    refused = 0
     for n in (64, 256, 1024):
         grid = FrequencyGrid(n)
+        h = n // 2
         ns = np.arange(-(n // 4), n // 4 + 1)
         base = complex_log(eval_charfn(random_pmf(rng), grid))
         for scale in (1e-12, 1e-9, 3e-8, 1e-7, 1e-3):
-            lm = base.log_magnitude + scale * rng.standard_normal(n)
-            ph = base.phase + scale * rng.standard_normal(n)
-            lg = LogCharFnSamples(grid, lm, ph, base.min_abs)
-            ref = grid_analysis(lm + 1j * ph, ns)
-            resid = float(np.max(np.abs(ref.imag)))
-            if resid >= 1e-8:
-                refused += 1
-                with pytest.raises(ImagResidualTooLarge):
-                    complex_muculants(lg, n // 4)
-                continue
-            got = complex_muculants(lg, n // 4)
-            assert np.max(np.abs(got.values - ref.real)) <= 1e-15, (n, scale)
-            assert abs(got.imag_residual - resid) <= 1e-15, (n, scale)
-    assert 0 < refused < 15
+            half = base.half.copy()
+            half[1:h] += scale * (rng.standard_normal(h - 1) + 1j * rng.standard_normal(h - 1))
+            got = complex_muculants(LogCharFnSamples(grid, half, base.min_abs), n // 4)
+            assert got.values.tobytes() == np.fft.irfft(half, n)[ns % n].tobytes()
+            full = np.concatenate([half[h:0:-1], np.conj(half[:h])])  # mu = -pi, ..., pi - 2pi/N
+            ref = grid_analysis(full, ns)
+            assert np.max(np.abs(got.values - ref)) <= 1e-15, (n, scale)
+            assert got.imag_residual == 0.0
 
 
 # --------------------------------------------------------------- recursion
