@@ -260,16 +260,26 @@ ARRAY_FIELDS = {
     "CharFnSamples.half": (
         lambda a: CharFnSamples(_GRID, a, "exact-from-pmf"), _CF.half, True
     ),
-    "LogCharFnSamples.half": (
+    # The half log stores log|Phi| as its real part and the phase as its
+    # imaginary part; each id checks the one field with a NaN in its part.
+    "LogCharFnSamples.log_magnitude": (
         lambda a: LogCharFnSamples(_GRID, a, _LOG.min_abs), _LOG.half, True
     ),
+    "LogCharFnSamples.phase": (
+        lambda a: LogCharFnSamples(_GRID, a, _LOG.min_abs), _LOG.half, True
+    ),
+}
+# id -> (the field that stores that part, the entry that spoils it)
+HALF_LOG_PARTS = {
+    "LogCharFnSamples.log_magnitude": ("half", np.nan),
+    "LogCharFnSamples.phase": ("half", complex(0.0, np.nan)),
 }
 
 
 @pytest.mark.parametrize("name", ARRAY_FIELDS)
 def test_array_fields_are_frozen_checked_copies(name):
     build, valid, fixed_length = ARRAY_FIELDS[name]
-    field = name.split(".")[1]
+    field, spoil = HALF_LOG_PARTS.get(name, (name.split(".")[1], np.nan))
     caller = np.array(valid)
     stored = getattr(build(caller), field)
     assert not stored.flags.writeable
@@ -280,7 +290,7 @@ def test_array_fields_are_frozen_checked_copies(name):
     np.testing.assert_array_equal(stored, valid)
 
     bad = np.array(valid)
-    bad[1] = np.nan
+    bad[1] = spoil
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         build(bad)
     misshapen = [np.stack([valid, valid]), np.array(valid)[:0]]
