@@ -293,20 +293,14 @@ def unwrap_in_place(phase: np.ndarray, steps: np.ndarray) -> None:
     phase[..., 1:] += steps
 
 
-def vanishing_floor(empirical: bool) -> float:
-    """The smallest |charfn| whose log counts: 1e-3 for a charfn estimated
-    from draws, 1e-8 for an exact or reconstructed one."""
-    return EMPIRICAL_FLOOR if empirical else VANISH_TOL
-
-
 def require_modulus(values, empirical: bool = False) -> tuple[np.ndarray, float]:
     """The moduli of charfn samples and their minimum.
 
     Raises :class:`CharFnVanishes` when that minimum falls below the
-    :func:`vanishing_floor`: the log is numerically undefined there, or,
-    for an ``empirical`` charfn, pure noise.
+    vanishing floor: 1e-3 for an ``empirical`` charfn, where a smaller |Phi|
+    is sampling noise, else 1e-8, where the log is numerically undefined.
     """
-    floor = vanishing_floor(empirical)
+    floor = EMPIRICAL_FLOOR if empirical else VANISH_TOL
     mods = np.abs(values)
     min_abs = float(mods.min())
     if min_abs < floor:
@@ -329,8 +323,8 @@ def complex_log(samples: CharFnSamples) -> LogCharFnSamples:
 
     The log kernel's arithmetic (:func:`log_half`): the phase is unwrapped
     from mu = 0 and pinned to zero there.  Raises :class:`CharFnVanishes`
-    when any sample modulus falls below the :func:`vanishing_floor` of its
-    source.
+    when any sample modulus falls below the floor of its source
+    (:func:`require_modulus`).
 
     When the charfn winds around the origin (shifted laws, Bernoulli with
     p > 1/2) the odd phase has a 2*pi*m jump across +-pi; the sample at pi

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import FrequencyGrid, grid_for_pmf, require_modulus, require_resolution, support_width
+from .charfn import FrequencyGrid, complex_log, eval_charfn, grid_for_pmf, support_width
 from .errors import PreconditionViolated, SupportTooSmall
 from .pmf import PMF, SignedSequence
-from .transform import MuculantSeq, _log_coefficients, reconstruct_sequence
+from .transform import MuculantSeq, complex_muculants, reconstruct_sequence, require_index_range
 
 # A reconstructed component counts as a PMF when it clears these.
 _PMF_NONNEG_TOL = 1e-10
@@ -55,8 +55,9 @@ def _looks_like_pmf(seq: SignedSequence) -> bool:
 def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decomposition:
     """Split ``f`` into minimum-phase and allpass factors.
 
-    Pipeline: the coefficients c[-n_max..n_max] of log Phi from the
-    half-spectrum log kernel -> the power sequence c[n] + c[-n] (ln |Phi|^2
+    Pipeline: the coefficients c[-n_max..n_max] of log Phi by the staged
+    route (:func:`eval_charfn`, :func:`complex_log`,
+    :func:`complex_muculants`) -> the power sequence c[n] + c[-n] (ln |Phi|^2
     = log Phi + conj log Phi) -> its causal split -> the allpass
     coefficients are the difference -> both factors reconstructed (see
     :func:`reconstruct_sequence`) on a window of twice the input support
@@ -72,10 +73,9 @@ def decompose(f: PMF, n_max: int, *, grid: FrequencyGrid | None = None) -> Decom
     """
     if grid is None:
         grid = grid_for_pmf(f, n_max)
-    require_resolution(f.offset, f.offset + len(f) - 1, grid)
-    coef, min_abs = _log_coefficients(f.probs[None], f.offset, grid, n_max)
-    require_modulus(min_abs)
-    c = coef[0]
+    cf = eval_charfn(f, grid)
+    require_index_range(grid.n_points, n_max)
+    c = complex_muculants(complex_log(cf), n_max).values
     minphase = minphase_from_power(MuculantSeq(-n_max, n_max, c + c[::-1], "power", 0.0))
     allpass = MuculantSeq(-n_max, n_max, c - minphase.values, "complex", 0.0)
 

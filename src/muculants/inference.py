@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import MAX_GRID_POINTS, FrequencyGrid, integer_samples, require_modulus
-from .charfn import require_sample_size, sample_histogram, span_width
+from .charfn import MAX_GRID_POINTS, FrequencyGrid, complex_log, empirical_charfn
+from .charfn import integer_samples, require_sample_size, span_width
 from .errors import CharFnVanishes, NegativeSampleValue
-from .transform import MuculantSeq, _log_coefficients
+from .transform import MuculantSeq, _log_coefficients, complex_muculants, require_index_range
 
 DEFAULT_WINDOW = (-8, 8)
 
@@ -57,22 +57,19 @@ def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
 
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
-    """Coefficient estimates from i.i.d. integer draws, by the log kernel
-    of :func:`replicate_statistics` on their :func:`sample_histogram`
-    (``imag_residual`` is 0.0).  Requires at least 100 samples and, as
-    :func:`decompose` does for PMFs, a grid of at least four points per
-    index of the sample range with the origin included
-    (:class:`GridTooCoarse` otherwise: a coarser grid lets the phase unwrap
-    skip a wrap and return wrong coefficients).  Raises
-    :class:`CharFnVanishes` when the empirical charfn dips below 1e-3
-    anywhere on the grid, which happens when the spread of the law is
-    heavy relative to the sample size (the estimate would be pure noise
-    there, and the coefficients may not exist at all).
+    """Coefficient estimates from i.i.d. integer draws: the staged route
+    :func:`empirical_charfn`, :func:`complex_log`, :func:`complex_muculants`.
+    Requires at least 100 samples and, as :func:`decompose` does for PMFs, a
+    grid of four points per index of the sample range with the origin
+    included (:class:`GridTooCoarse` otherwise: a coarser grid lets the
+    phase unwrap skip a wrap), then 1 <= n_max <= N/4.  Raises
+    :class:`CharFnVanishes` when the empirical charfn dips below 1e-3, which
+    happens when the spread of the law is heavy relative to the sample size
+    (the estimate would be noise, and the coefficients may not exist).
     """
-    counts, lo = sample_histogram(samples, grid)
-    coef, min_abs = _log_coefficients(counts[None], lo, grid, n_max, histogram=True)
-    require_modulus(min_abs, empirical=True)  # the smallest |Phi| is its own modulus
-    return MuculantSeq(-n_max, n_max, coef[0], "complex", 0.0)
+    cf = empirical_charfn(samples, grid)
+    require_index_range(grid.n_points, n_max)
+    return complex_muculants(complex_log(cf), n_max)
 
 
 def _window_mask(window, ns=None) -> np.ndarray:
@@ -121,7 +118,7 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     require_sample_size(counts.sum(axis=-1))
     mask = _window_mask(window)
     n_max = len(mask) // 2
-    coef, _ = _log_coefficients(counts, offset, grid, n_max, histogram=True)
+    coef, _ = _log_coefficients(counts, offset, grid, n_max)
     # C order makes each row sum pairwise, as the 1-D sum does; NaN rows stay NaN
     return np.sum(np.ascontiguousarray(coef[:, mask]) ** 2, axis=-1)
 

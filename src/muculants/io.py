@@ -167,9 +167,9 @@ def pmf_from_dict(d: dict) -> PMF:
         raise ValueError('PMF object needs "offset" and "probs" fields')
     f = validate_pmf(_integer_field(d, "offset"), _number_list(d, "probs"))
     bound = _number_field(d, "tail_mass_bound")
-    if bound > f.tail_mass_bound:
-        f = PMF(f.offset, f.probs, bound)
-    return f
+    if not 0.0 <= bound <= 1.0:  # NaN included
+        raise ValueError(f'"tail_mass_bound" must lie in [0, 1], got {bound!r}')
+    return PMF(f.offset, f.probs, bound) if bound > f.tail_mass_bound else f
 
 
 def muculants_to_dict(seq: MuculantSeq) -> dict:

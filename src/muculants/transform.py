@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
+    EMPIRICAL_FLOOR,
     CharFnSamples,
     FrequencyGrid,
     LogCharFnSamples,
@@ -19,7 +20,6 @@ from .charfn import (
     require_modulus,
     span_width,
     support_width,
-    vanishing_floor,
 )
 from .errors import NotApplicable, SupportTooSmall, TruncationUnsafe
 from .pmf import PMF, CumulantVector, SignedSequence, frozen_vector, is_minimum_phase
@@ -108,8 +108,8 @@ def _cepstrum(log: np.ndarray, n: int, n_max: int) -> np.ndarray:
 def power_muculants(cf: CharFnSamples, n_max: int) -> MuculantSeq:
     """Coefficients of ln |Phi|^2 for n in [-n_max, n_max], n_max <= N/4.
 
-    Phase-free, hence computable whenever the modulus stays above the
-    :func:`vanishing_floor` of its source: one :func:`_cepstrum` of the
+    Phase-free, hence computable whenever the modulus stays above the floor
+    of its source (:func:`require_modulus`): one :func:`_cepstrum` of the
     real, even ln |Phi|^2 on the stored half.
     """
     n = cf.grid.n_points
@@ -197,9 +197,9 @@ _CHUNK_POINTS = 16384
 
 def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
     """Buffers for :func:`_log_chunk` on up to ``rows`` rows of ``width``
-    weights over an n-point grid: the normalised weights, the folded
-    weights, then |Phi| and the log over the N/2 + 1 points mu = 0..pi,
-    and the N/2 phase steps between those points."""
+    counts over an n-point grid: the normalised counts, their fold, then
+    |Phi| and the log over the N/2 + 1 points mu = 0..pi, and the N/2
+    phase steps between those points."""
     half = n // 2 + 1
     return (
         np.empty((rows, width)),
@@ -210,50 +210,47 @@ def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _log_coefficients(weights, offset, grid, n_max, *, histogram=False):
-    """Coefficients c[-n_max..n_max] of log Phi for each row of ``weights``
-    (NaN in rows whose |Phi| dips below its :func:`vanishing_floor`), and
-    each row's smallest |Phi|.  Row r weighs ``offset``, ``offset + 1``,
-    ...: PMF probabilities as they are, or with ``histogram`` counts of
-    draws (floor 1e-3), divided by their row sum, Phi(0) set to exactly 1.
+def _log_coefficients(counts, offset, grid, n_max):
+    """The batch of :func:`replicate_statistics`: coefficients
+    c[-n_max..n_max] of log Phi for each row of ``counts`` (NaN in rows
+    whose |Phi| dips below the empirical 1e-3 floor), and each row's
+    smallest |Phi|.  Row r counts draws equal to ``offset``, ``offset + 1``,
+    ...; it is divided by its row sum, and Phi(0) is set to exactly 1.
 
-    Phi is Hermitian, so one rfft of the folded weights gives conj(Phi) on
-    mu in [0, pi]; its :func:`log_half`, the phase unwrapped from mu = 0,
-    goes through one :func:`_cepstrum` per chunk.  That keeps only the real
-    part at pi, so the phase there counts as the jump midpoint 0, as in
-    :func:`complex_log`.
-    Rows go through :func:`_log_chunk` ``_CHUNK_POINTS`` grid points at a
-    time, in one :func:`_workspace` per call; no bit depends on the chunks.
+    Each row takes the stages of :func:`empirical_charfn`,
+    :func:`complex_log` and :func:`complex_muculants`, so it gets their
+    bytes: one rfft of the folded row for conj(Phi) on mu in [0, pi], its
+    :func:`log_half`, and one :func:`_cepstrum` per chunk.  Rows go through
+    :func:`_log_chunk` ``_CHUNK_POINTS`` grid points at a time, in one
+    :func:`_workspace` per call; no bit depends on the chunks.
     """
     n = grid.n_points
     require_index_range(n, n_max)
-    rows, width = weights.shape
+    rows, width = counts.shape
     chunk = max(1, _CHUNK_POINTS // n)
     work = _workspace(min(chunk, rows), n, width)
     out = np.empty((rows, 2 * n_max + 1))
     min_abs = np.empty(rows)
     for lo in range(0, rows, chunk):
         part = slice(lo, lo + chunk)
-        _log_chunk(weights[part], offset, n, histogram, work, out[part], min_abs[part])
+        _log_chunk(counts[part], offset, n, work, out[part], min_abs[part])
     return out, min_abs
 
 
-def _log_chunk(weights, offset, n, histogram, work, out, min_abs) -> None:
-    """:func:`_log_coefficients` of the rows of ``weights`` into ``out`` and
+def _log_chunk(counts, offset, n, work, out, min_abs) -> None:
+    """:func:`_log_coefficients` of the rows of ``counts`` into ``out`` and
     ``min_abs``, through the buffers ``work``.  Over the grid it allocates
     only the two transforms' outputs, freed on return, and when the floor
     drops rows the copies that move the kept rows to the front."""
-    rows = len(weights)
+    rows = len(counts)
     n_max = out.shape[1] // 2
     normalised, folded, mods, log, steps = (b[:rows] for b in work)
-    if histogram:
-        weights = np.divide(weights, weights.sum(axis=-1, keepdims=True), out=normalised)
-    fold_indices(weights, offset, n, out=folded)
+    np.divide(counts, counts.sum(axis=-1, keepdims=True), out=normalised)
+    fold_indices(normalised, offset, n, out=folded)
     spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
-    if histogram:
-        spec[:, 0] = 1.0  # exact by construction
+    spec[:, 0] = 1.0  # exact by construction
     np.abs(spec, out=mods).min(axis=-1, out=min_abs)
-    keep = min_abs >= vanishing_floor(histogram)
+    keep = min_abs >= EMPIRICAL_FLOOR
     out[~keep] = np.nan
     k = int(np.count_nonzero(keep))
     if k:

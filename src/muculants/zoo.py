@@ -12,12 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charfn import CharFnSamples, FrequencyGrid
+from .charfn import MAX_GRID_POINTS, CharFnSamples, FrequencyGrid
 from .pmf import PMF, CumulantVector
 from .transform import MuculantSeq
 
 # Infinite supports are truncated once the kept mass reaches 1 - this.
 TRUNCATION_TAIL = 1e-12
+
+# Most terms a truncated support keeps; a law that needs more is refused.
+MAX_TERMS = 200_000
+_TOO_MANY_TERMS = "truncation did not converge; parameters too extreme"
 
 MAX_CUMULANT_ORDER = 8
 
@@ -98,22 +102,22 @@ class Binomial:
 DistributionSpec = Poisson | Degenerate | Bernoulli | Geometric | NegativeBinomial | Binomial
 
 
-def _truncated_probs(first: float, ratio, max_terms: int = 200_000):
+def _truncated_probs(first: float, ratio):
     """Accumulate p[k+1] = p[k] * ratio(k) until the kept mass reaches
-    1 - TRUNCATION_TAIL.  Returns (probs, deficit)."""
+    1 - TRUNCATION_TAIL.  Returns (probs, deficit).  Terms are counted before
+    any is stored, so a law needing more than MAX_TERMS allocates none."""
     if not first > 0.0:
         raise ValueError("parameters too extreme: leading probability underflows")
-    out = [first]
-    total = first
-    k = 0
+    term = total = first
+    count = 1
     while total < 1.0 - TRUNCATION_TAIL:
-        nxt = out[-1] * ratio(k)
-        out.append(nxt)
-        total += nxt
-        k += 1
-        if k > max_terms:
-            raise ValueError("truncation did not converge; parameters too extreme")
-    return np.array(out), max(0.0, 1.0 - total)
+        if count == MAX_TERMS:
+            raise ValueError(_TOO_MANY_TERMS)
+        term *= ratio(count - 1)
+        total += term
+        count += 1
+    probs = np.cumprod(np.concatenate(([first], ratio(np.arange(count - 1)))))
+    return probs, max(0.0, 1.0 - total)
 
 
 def zoo_pmf(spec: DistributionSpec) -> PMF:
@@ -129,6 +133,8 @@ def zoo_pmf(spec: DistributionSpec) -> PMF:
         return PMF(0, np.array([1.0 - spec.p, spec.p]))
     if isinstance(spec, Geometric):
         q = 1.0 - spec.p
+        if math.log(q) * MAX_TERMS > math.log(TRUNCATION_TAIL):  # q may round to 1
+            raise ValueError(_TOO_MANY_TERMS)
         count = max(1, math.ceil(math.log(TRUNCATION_TAIL) / math.log(q)))
         probs = spec.p * q ** np.arange(count)
         return PMF(0, probs, tail_mass_bound=q**count)
@@ -200,10 +206,13 @@ def _bernoulli_coeffs(p: float, ns: np.ndarray) -> np.ndarray:
 
 
 def zoo_muculants(spec: DistributionSpec, n_range) -> MuculantSeq:
-    """Closed-form coefficient sequence on the inclusive range (n_lo, n_hi)."""
+    """Closed-form coefficient sequence on the inclusive range (n_lo, n_hi),
+    within +-MAX_GRID_POINTS / 4, the largest ``n_max`` a grid route takes."""
     lo, hi = int(n_range[0]), int(n_range[1])
     if not lo <= 0 <= hi:
         raise ValueError("index range must contain zero")
+    if max(-lo, hi) > MAX_GRID_POINTS // 4:
+        raise ValueError(f"index range {lo}..{hi} reaches past +-{MAX_GRID_POINTS // 4}")
     ns = np.arange(lo, hi + 1)
     nf = ns.astype(np.float64)
     vals = np.zeros(len(ns))

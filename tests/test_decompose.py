@@ -28,7 +28,13 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
-from muculants.transform import _log_coefficients
+from muculants.charfn import (
+    grid_analysis,
+    grid_synthesis,
+    require_modulus,
+    require_resolution,
+    unwrap_phase,
+)
 
 
 def mirrored(f):
@@ -132,17 +138,30 @@ def test_pure_shift_has_trivial_modulus_factor():
 
 
 def reference_decompose(f, n_max, grid=None):
-    """The full-grid route decompose took before the half-spectrum kernel:
-    N-point synthesis, complex log, complex and power analyses (two logs,
-    two N-point FFTs), then the same split and reconstruction loop.
+    """The full-grid route decompose took before the half-spectrum kernel,
+    built from the references ``charfn`` keeps: ``grid_synthesis`` on all N
+    points, the phase unwrapped by ``unwrap_phase`` from mu = 0 to pi and
+    extended by odd symmetry (the jump midpoint 0 at -pi), and
+    ``grid_analysis`` of the log and of 2 log |Phi| (two N-point FFTs), then
+    the same split and reconstruction loop.  Refuses what decompose refuses.
     Returns the minimum-phase and allpass coefficients and sequences."""
     if grid is None:
         grid = FrequencyGrid.for_width(support_width(f), 4096, n_max)
-    cf = eval_charfn(f, grid)
-    total = complex_muculants(complex_log(cf), n_max)
-    minphase = minphase_from_power(power_muculants(cf, n_max))
-    resid = max(total.imag_residual, minphase.imag_residual)
-    allpass = MuculantSeq(-n_max, n_max, total.values - minphase.values, "complex", resid)
+    require_resolution(f.offset, f.offset + len(f) - 1, grid)
+    n = grid.n_points
+    values = grid_synthesis(f.probs, f.offset, grid)  # mu = -pi, ..., pi - 2pi/N
+    mods, _ = require_modulus(values)
+    ph = unwrap_phase(np.angle(np.concatenate([values[n // 2 :], values[:1]])))  # mu = 0..pi
+    phase = np.empty(n)
+    phase[n // 2 :] = ph[:-1] - ph[0]
+    phase[1 : n // 2] = -phase[n // 2 + 1 :][::-1]
+    phase[0] = 0.0
+    ns = np.arange(-n_max, n_max + 1)
+    total = grid_analysis(np.log(mods) + 1j * phase, ns).real
+    power = grid_analysis(2.0 * np.log(mods), ns).real
+    power = MuculantSeq(-n_max, n_max, 0.5 * (power + power[::-1]), "power", 0.0)
+    minphase = minphase_from_power(power)
+    allpass = MuculantSeq(-n_max, n_max, total - minphase.values, "complex", 0.0)
     half = 2 * support_width(f)
     for attempt in range(4):
         try:
@@ -234,9 +253,10 @@ def test_decompose_near_the_floor_is_closer_to_the_closed_form_than_the_full_gri
 
 def test_decompose_splits_one_kernel_call():
     # ln |Phi|^2 = log Phi + conj log Phi: the power sequence is c[n] + c[-n]
+    # of the one staged complex route
     f = mirrored(zoo_pmf(NegativeBinomial(2, 0.3)))
     grid = FrequencyGrid.for_width(support_width(f), 4096, 40)
-    c = _log_coefficients(f.probs[None], f.offset, grid, 40)[0][0]
+    c = complex_muculants(complex_log(eval_charfn(f, grid)), 40).values
     d = decompose(f, 40)
     minphase = d.minphase_muculants.values
     np.testing.assert_array_equal(minphase[41:], c[41:] + c[39::-1])
@@ -254,3 +274,11 @@ def test_decompose_refusals():
     for n_max in (0, 257):
         with pytest.raises(ValueError, match="n_max must be in 1..256 for this grid"):
             decompose(g, n_max, grid=FrequencyGrid(1024))
+
+
+def test_decompose_refuses_in_order_resolution_then_n_max_then_floor():
+    # inputs that fail two checks name the earlier one
+    with pytest.raises(GridTooCoarse):
+        decompose(zoo_pmf(Geometric(0.01)), 0, grid=FrequencyGrid(8192))
+    with pytest.raises(ValueError, match="n_max must be in 1..16 for this grid"):
+        decompose(validate_pmf(0, [0.5, 0.5]), 17, grid=FrequencyGrid(64))

@@ -142,8 +142,8 @@ def test_poisson_test_grid_is_the_old_rule_with_its_bump(monkeypatch):
 def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
     # The old PMF rule ignored n_max, so it failed the N/4 guard whenever
     # 4 * n_max outgrew it; the new one grows the grid just enough instead.
-    # the grid size the half-spectrum kernel receives from decompose
-    grid_of = spy_grid(monkeypatch, decompose_module, "_log_coefficients", position=2)
+    # the grid size decompose synthesizes its charfn on
+    grid_of = spy_grid(monkeypatch, decompose_module, "eval_charfn")
     pmfs = {w: validate_pmf(0, np.full(w, 1.0 / w)) for w in WIDTHS}
     for w, n_max in SWEEP:
         old = old_pmf_grid(w)

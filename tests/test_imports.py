@@ -11,11 +11,13 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - no root finder: nothing calls ``roots(`` (``np.roots`` is O(L^3) and took
   21 ms on a 124-long PMF; the zero test is a step-down, and the tests keep
   ``np.roots`` as its reference);
-- the staged functions serve the CLI only: ``eval_charfn``,
-  ``empirical_charfn``, ``complex_log``, ``complex_muculants`` and
-  ``power_muculants`` are called nowhere in the package outside ``cli.py``
-  (they take caller-supplied samples and compute the log kernel's
-  arithmetic; every internal route calls the kernel in ``transform``);
+- one route per shape: ``transform._log_coefficients``, the log kernel,
+  is called only in ``inference.replicate_statistics`` (the bootstrap's
+  batch of histograms) and takes exactly ``(counts, offset, grid,
+  n_max)``; a single charfn goes through the staged stages, so
+  ``estimate_muculants`` calls ``empirical_charfn`` and ``decompose``
+  calls ``eval_charfn``, each then ``complex_log`` and
+  ``complex_muculants``;
 - one transform convention: no module uses ``grid_synthesis`` or
   ``grid_analysis``, the full N-point transforms, which stay public in
   ``charfn.py`` only as references (every route runs on the half
@@ -35,14 +37,15 @@ No linter ships with the test dependencies, so these are small stdlib-only
   own chunk loop;
 - the vanishing floor has one home: ``VANISH_TOL`` and ``EMPIRICAL_FLOOR``
   are assigned only in ``charfn.py``, ``cli.py`` names neither of them nor
-  ``require_modulus`` and holds no floor literal, and ``_log_coefficients``
-  takes no ``floor`` (the floor follows the provenance of the charfn);
-- one resolution rule: the four functions that put weights on a
-  caller-chosen grid, ``eval_charfn``, ``empirical_charfn``,
-  ``estimate_muculants`` and ``decompose``, each call
-  ``require_resolution`` (a grid below four points per index of the
-  support lets the phase unwrap skip a wrap), the two sample routes
-  through ``charfn.sample_histogram``, which calls it itself;
+  ``require_modulus`` and holds no floor literal (the floor follows the
+  provenance of the charfn);
+- one resolution rule: every function that puts weights on a
+  caller-chosen grid reaches ``require_resolution`` (a grid below four
+  points per index of the support lets the phase unwrap skip a wrap):
+  ``eval_charfn`` and ``charfn.sample_histogram`` call it,
+  ``empirical_charfn`` calls ``sample_histogram``, and
+  ``estimate_muculants`` and ``decompose`` call ``empirical_charfn`` and
+  ``eval_charfn``;
 - the sample histogram has one home: ``np.bincount`` is called only in
   ``charfn.sample_histogram``, and the 100-draw rule with it:
   ``MIN_SAMPLE_SIZE`` is assigned only in ``charfn.py``, and ``cli.py``
@@ -147,38 +150,27 @@ def test_no_root_finder_in_the_package():
     assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
-STAGED = ("eval_charfn", "empirical_charfn", "complex_log", "complex_muculants", "power_muculants")
-
-
-def staged_calls(source: str) -> list[str]:
-    """``line: name`` of each call to a staged function, bare or dotted;
-    their definitions are not calls."""
-    return [
-        f"{node.lineno}: {name}"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in STAGED
-    ]
-
-
-def test_checker_finds_staged_calls():
-    source = (
-        "def complex_log(cf):\n    return cf\n"
-        "x = complex_log(eval_charfn(f, g))\n"
-        "y = charfn.empirical_charfn(s, g)\n"
-        "z = power_muculants\n"
+def test_one_route_per_shape():
+    # the log kernel is the bootstrap's batch of histograms; a single charfn,
+    # one PMF or one sample, goes through the staged stages
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {name: callers_of(source, "_log_coefficients") for name, source in sources.items()}
+    callers = {name: c for name, c in callers.items() if c}
+    assert callers == {"inference.py": ["replicate_statistics"]}
+    kernel = next(
+        node
+        for node in ast.parse(sources["transform.py"]).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_log_coefficients"
     )
-    assert sorted(staged_calls(source)) == [
-        "3: complex_log",
-        "3: eval_charfn",
-        "4: empirical_charfn",
-    ]
-    assert staged_calls("complex_logs(x)\nself.eval_charfn\n") == []
-
-
-def test_staged_functions_serve_only_the_cli():
-    calls = {p.name: staged_calls(p.read_text()) for p in MODULES if p.name != "cli.py"}
-    assert {name: c for name, c in calls.items() if c} == {}
+    params = kernel.args.posonlyargs + kernel.args.args + kernel.args.kwonlyargs
+    assert [a.arg for a in params] == ["counts", "offset", "grid", "n_max"]
+    assert kernel.args.vararg is None and kernel.args.kwarg is None
+    staged = {"complex_log", "complex_muculants"}
+    for module, function, synthesis in (
+        ("inference.py", "estimate_muculants", "empirical_charfn"),
+        ("decompose.py", "decompose", "eval_charfn"),
+    ):
+        assert staged | {synthesis} <= function_calls(sources[module], function), function
 
 
 def name_uses(source: str, name: str) -> list[int]:
@@ -288,13 +280,6 @@ def test_the_vanishing_floor_has_one_home():
         assert name_uses(cli, name) == [], name
     numbers = {n.value for n in ast.walk(ast.parse(cli)) if isinstance(n, ast.Constant)}
     assert not numbers & {1e-3, 1e-8}
-    kernel = next(
-        node
-        for node in ast.walk(ast.parse((PACKAGE / "transform.py").read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name == "_log_coefficients"
-    )
-    params = kernel.args.posonlyargs + kernel.args.args + kernel.args.kwonlyargs
-    assert "floor" not in [a.arg for a in params]
 
 
 def function_calls(source: str, function: str) -> set[str]:
@@ -317,26 +302,20 @@ def test_checker_finds_function_calls():
     assert function_calls(source, "check") == set()
 
 
+# each function that puts weights on a caller-chosen grid, and the rule it
+# calls: require_resolution itself, or a route that calls it
 SYNTHESES = {
-    "charfn.py": ("eval_charfn", "empirical_charfn"),
-    "inference.py": ("estimate_muculants",),
-    "decompose.py": ("decompose",),
+    ("charfn.py", "eval_charfn"): "require_resolution",
+    ("charfn.py", "sample_histogram"): "require_resolution",
+    ("charfn.py", "empirical_charfn"): "sample_histogram",
+    ("inference.py", "estimate_muculants"): "empirical_charfn",
+    ("decompose.py", "decompose"): "eval_charfn",
 }
-
-# routes that take the rule through the sample histogram, which runs it
-SAMPLE_ROUTES = ("empirical_charfn", "estimate_muculants")
 
 
 def test_every_synthesis_on_a_caller_chosen_grid_requires_resolution():
-    for module, functions in SYNTHESES.items():
-        source = (PACKAGE / module).read_text()
-        for function in functions:
-            rules = {"require_resolution"}
-            if function in SAMPLE_ROUTES:
-                rules.add("sample_histogram")
-            assert rules & function_calls(source, function), function
-    charfn = (PACKAGE / "charfn.py").read_text()
-    assert "require_resolution" in function_calls(charfn, "sample_histogram")
+    for (module, function), rule in SYNTHESES.items():
+        assert rule in function_calls((PACKAGE / module).read_text(), function), function
 
 
 def test_the_sample_histogram_has_one_home():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from muculants import (
+    CharFnSamples,
     CharFnVanishes,
     Degenerate,
     EmptySample,
@@ -24,7 +25,7 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
-from muculants.charfn import grid_analysis, grid_synthesis, unwrap_phase
+from muculants.charfn import fold_indices, grid_analysis, grid_synthesis, unwrap_phase
 import muculants.inference as inference
 import muculants.transform as transform
 from muculants.inference import replicate_statistics
@@ -98,6 +99,17 @@ def test_estimate_refuses_grid_too_coarse_for_sample_range():
         estimate_muculants(xi, FrequencyGrid(64), 2)
     with pytest.raises(GridTooCoarse):
         estimate_muculants(xi, FrequencyGrid(256), 2)
+
+
+def test_estimate_refuses_in_order_samples_then_n_max_then_floor():
+    # inputs that fail two checks name the earlier one
+    with pytest.raises(GridTooCoarse):
+        estimate_muculants(shifted_poisson_sample(), FrequencyGrid(64), 0)
+    with pytest.raises(ValueError, match="need at least 100 samples"):
+        estimate_muculants(np.arange(50), FrequencyGrid(64), 0)
+    xi = np.array([0] * 50 + [4] * 50)  # |ecf| = |cos(2 mu)| vanishes on the grid
+    with pytest.raises(ValueError, match="n_max must be in 1..32 for this grid"):
+        estimate_muculants(xi, grid_for_samples(xi), 33)
 
 
 def test_default_sample_grid_resolves_shifted_law():
@@ -367,7 +379,7 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     # spectrum must take the same bit as the full-grid synthesis
     grid = FrequencyGrid(n_points)
     counts = tied_histograms(np.random.default_rng([7, n_points]), 120)
-    _, min_abs = _log_coefficients(counts, 0, grid, 8, histogram=True)
+    _, min_abs = _log_coefficients(counts, 0, grid, 8)
     keep = min_abs >= 1e-3
     want = [
         np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).values).min() >= 1e-3
@@ -379,10 +391,10 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
 
 def log_kernel_cases():
     """(label, weights, offset, grid, n_max, floor, histogram) for the log
-    kernel: histogram and PMF rows at N = 64 ... 4096, rows the floor drops
-    (about a fifth of Poisson(3) samples, and the |E - O| = 10 ties),
-    winding rows, negative and wrapping offsets, and supports wider than
-    the grid."""
+    kernel's histogram rows and the staged route's PMF rows at N = 64 ...
+    4096: rows the floor drops (about a fifth of Poisson(3) samples, and the
+    |E - O| = 10 ties), winding rows, negative and wrapping offsets, and
+    supports wider than the grid."""
     rng = np.random.default_rng(61)
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         grid = FrequencyGrid(n)
@@ -407,18 +419,39 @@ def chunk_settings(n_points, rows):
     return (n_points, transform._CHUNK_POINTS, rows * n_points)
 
 
+def staged_pmf_rows(weights, offset, grid, n_max):
+    """Coefficients and smallest |Phi| of each PMF row by the staged route:
+    the synthesis of :func:`eval_charfn` (one rfft of the fold, taken here
+    without its resolution rule, so that wrapped supports go through too),
+    :func:`complex_log` and :func:`complex_muculants`."""
+    coef, min_abs = [], []
+    for row in weights:
+        half = np.fft.rfft(fold_indices(row, offset, grid.n_points))
+        logcf = complex_log(CharFnSamples(grid, half, "exact-from-pmf"))
+        coef.append(complex_muculants(logcf, n_max).values)
+        min_abs.append(logcf.min_abs)
+    return np.array(coef), np.array(min_abs)
+
+
 def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
-    # one row per chunk reuses the workspace, left dirty, for every row
+    # histogram rows run through the kernel; one row per chunk reuses the
+    # workspace, left dirty, for every row.  PMF rows run through the
+    # staged route, which computes the same stages one row at a time
     dropped = kept = 0
     for label, weights, offset, grid, n_max, floor, histogram in log_kernel_cases():
         want_coef, want_min = reference_log_coefficients(
             weights, offset, grid, n_max, floor, histogram=histogram
         )
-        for points in chunk_settings(grid.n_points, len(weights)):
-            monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
-            coef, min_abs = _log_coefficients(weights, offset, grid, n_max, histogram=histogram)
-            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points, points)
-            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points, points)
+        runs = []
+        if histogram:
+            for points in chunk_settings(grid.n_points, len(weights)):
+                monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
+                runs.append((points, _log_coefficients(weights, offset, grid, n_max)))
+        else:
+            runs.append(("staged", staged_pmf_rows(weights, offset, grid, n_max)))
+        for route, (coef, min_abs) in runs:
+            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points, route)
+            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points, route)
         dropped += int(np.isnan(want_coef[:, 0]).sum())
         kept += int(np.isfinite(want_coef[:, 0]).sum())
     assert dropped >= 100 and kept >= 300
@@ -442,8 +475,8 @@ def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
             lambda: transform._workspace(32, 512, counts.shape[-1]),
             lambda: np.fft.rfft(folded),
             lambda: (np.fft.rfft(folded), np.fft.irfft(log, 512)),
-            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8, histogram=True)),
-            lambda: results.append(_log_coefficients(counts, 0, grid, 8, histogram=True)),
+            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8)),
+            lambda: results.append(_log_coefficients(counts, 0, grid, 8)),
         ):
             call()  # warm
             results.clear()
@@ -494,7 +527,7 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
 def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     grid = FrequencyGrid(128)
     counts = tied_histograms(np.random.default_rng([7, 128]), 120)
-    keep = _log_coefficients(counts, 0, grid, 8, histogram=True)[1] >= 1e-3
+    keep = _log_coefficients(counts, 0, grid, 8)[1] >= 1e-3
     kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     pairs = min(len(kept), len(dropped))
     assert pairs >= 20

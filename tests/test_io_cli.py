@@ -56,8 +56,12 @@ from muculants.io import (
     read_samples,
     sequence_to_dict,
 )
-from muculants.transform import _log_coefficients
-from support import reference_dumps_json, reference_flat_csv, reference_indexed_csv
+from support import (
+    reference_dumps_json,
+    reference_flat_csv,
+    reference_indexed_csv,
+    reference_log_coefficients,
+)
 
 
 # -------------------------------------------------------------------- text
@@ -622,9 +626,30 @@ def test_cli_pmf_routes_print_the_log_kernel_coefficients(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "muculants", "--input", str(p), "--n-max", "20")
     assert code == 0
     doc = json.loads(out)
-    want = _log_coefficients(f.probs[None], f.offset, grid_for_pmf(f, 20), 20)[0][0]
+    want = reference_log_coefficients(f.probs[None], f.offset, grid_for_pmf(f, 20), 20, 1e-8)[0][0]
     assert doc["values"] == want.tolist()
     assert doc["imag_residual"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("muculants", "--dist", "geometric:p=1e-9"), "truncation did not converge; parameters too extreme"),
+        (
+            ("muculants", "--dist", "negbinomial:r=1,p=0.999999999"),
+            "truncation did not converge; parameters too extreme",
+        ),
+        (
+            ("zoo", "--dist", "poisson:lambda=2", "--n-max", "100000000"),
+            "index range -100000000..100000000 reaches past +-4194304",
+        ),
+    ],
+)
+def test_cli_refuses_laws_and_ranges_too_large_to_hold(capsys, argv, message):
+    # the geometric spelling died allocating 206 GiB, and the zoo range was
+    # killed for memory, where the negative binomial spelling was refused
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
 
 
 def test_cli_cumulants_exact_for_geometric(capsys):
@@ -1002,6 +1027,16 @@ def test_float_fields_refuse_what_json_numbers_are_not(value):
         pmf_from_dict({"offset": 0, "probs": [0.7, value, 0.3]})
     with pytest.raises(ValueError, match=r'^"values"\[0\] must be a number, got '):
         muculants_from_dict({"kind": "complex", "n_min": 0, "n_max": 1, "values": [value, 0.5]})
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, -math.inf, math.inf, 2.0, -1e-300])
+def test_tail_mass_bound_outside_the_unit_interval_is_refused(value):
+    # a negative or NaN bound used to be dropped without a word, while 2.0
+    # was refused by the PMF constructor; one message now names the field
+    pmf = {"offset": 0, "probs": [0.7, 0.3], "tail_mass_bound": value}
+    with pytest.raises(ValueError) as info:
+        pmf_from_dict(pmf)
+    assert str(info.value) == f'"tail_mass_bound" must lie in [0, 1], got {value!r}'
 
 
 def test_float_fields_accept_json_numbers():

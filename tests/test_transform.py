@@ -39,7 +39,14 @@ from muculants import (
 from muculants.charfn import fold_indices, span_width
 from muculants.transform import _log_coefficients
 
-from support import CAUSAL_ZOO_SWEEP, grid_muculants, half_of, random_pmf, sampling_noise_draw
+from support import (
+    CAUSAL_ZOO_SWEEP,
+    grid_muculants,
+    half_of,
+    random_pmf,
+    reference_log_coefficients,
+    sampling_noise_draw,
+)
 
 
 # the package namespace re-exports functions under their modules' names
@@ -166,49 +173,56 @@ def test_power_route_needs_nonvanishing_modulus():
 # ----------------------------------------------------- half-spectrum log kernel
 
 
+def staged_pmf_route(f, grid, n_max):
+    """Coefficients of ``f`` by the staged route that ``decompose`` takes."""
+    return complex_muculants(complex_log(eval_charfn(f, grid)), n_max).values
+
+
 def test_log_kernel_takes_a_pmf_as_it_is():
     # a mass deficit stays in the coefficients, as on the full grid: scaling
     # the PMF to total mass one moves c[0] by the log of that mass
     f = validate_pmf(-1, [0.3, 0.3, 0.3999995])
     assert f.tail_mass_bound > 0.0
     grid = FrequencyGrid(64)
-    got = _log_coefficients(f.probs[None], f.offset, grid, 8)[0][0]
-    want = complex_muculants(complex_log(eval_charfn(f, grid)), 8).values
+    got = staged_pmf_route(f, grid, 8)
+    want = reference_log_coefficients(f.probs[None], f.offset, grid, 8, 1e-8)[0][0]
     assert np.max(np.abs(got - want)) <= 1e-15
-    scaled = _log_coefficients(f.probs[None] / f.total_mass, f.offset, grid, 8)[0][0]
+    scaled = staged_pmf_route(validate_pmf(f.offset, f.probs / f.total_mass), grid, 8)
     assert got[8] - scaled[8] == pytest.approx(math.log(f.total_mass), rel=1e-9)
     np.testing.assert_allclose(np.delete(got - scaled, 8), 0.0, atol=1e-15)
 
 
 def test_log_kernel_pins_phi_at_zero_only_for_histograms(monkeypatch):
+    # the kernel's histogram rows have Phi(0) = 1 exactly; the staged route
+    # takes a PMF's Phi(0) as its rfft gives it
     counts = np.full((1, 17), 7)
     freqs = counts / counts.sum()
-    grid = FrequencyGrid(64)
-    assert np.fft.rfft(fold_indices(freqs, 0, 64))[0, 0] != 1.0  # the pin changes a bit here
+    grid = FrequencyGrid(128)  # four points per index of the 17-wide support
+    assert np.fft.rfft(fold_indices(freqs, 0, 128))[0, 0] != 1.0  # the pin changes a bit here
     logs = []
     irfft = np.fft.irfft
 
     def spy(a, n):
-        logs.append(a[0, 0])
+        logs.append(a[..., 0].ravel()[0])
         return irfft(a, n)
 
     monkeypatch.setattr(np.fft, "irfft", spy)
-    _log_coefficients(counts, 0, grid, 8, histogram=True)
-    _log_coefficients(freqs, 0, grid, 8)
+    _log_coefficients(counts, 0, grid, 8)
+    staged_pmf_route(validate_pmf(0, freqs[0]), grid, 8)
     assert logs[0] == 0.0  # log 1
-    assert logs[1] == np.log(np.abs(np.fft.rfft(fold_indices(freqs, 0, 64))[0, 0])) != 0.0
+    assert logs[1] == np.log(np.abs(np.fft.rfft(fold_indices(freqs, 0, 128))[0, 0])) != 0.0
 
 
 def test_log_kernel_refuses_rows_below_its_floor():
-    # the floor follows the rows' provenance: 1e-8 for a PMF, 1e-3 for a
+    # the floor follows the provenance: 1e-8 for a PMF, 1e-3 for a
     # histogram of draws, where a small |Phi| is sampling noise
     f = zoo_pmf(Binomial(10, 0.4))  # |Phi(pi)| = 0.2^10
-    coef, min_abs = _log_coefficients(f.probs[None], 0, FrequencyGrid(4096), 8)
-    assert min_abs[0] == pytest.approx(0.2**10, rel=1e-9)
-    assert np.isfinite(coef).all()
+    logcf = complex_log(eval_charfn(f, FrequencyGrid(4096)))
+    assert logcf.min_abs == pytest.approx(0.2**10, rel=1e-9)
+    assert np.isfinite(complex_muculants(logcf, 8).values).all()
     x = sampling_noise_draw()
     grid = grid_for_samples(x, 8)
-    coef, min_abs = _log_coefficients(np.bincount(x)[None], 0, grid, 8, histogram=True)
+    coef, min_abs = _log_coefficients(np.bincount(x)[None], 0, grid, 8)
     assert min_abs[0] == pytest.approx(8.0e-4, rel=1e-9)
     assert np.isnan(coef).all()
 
@@ -241,7 +255,7 @@ def test_staged_pmf_route_is_the_log_kernel_bit_for_bit(name):
         cf = eval_charfn(f, grid)
         for n_max in (20, 100):
             got = complex_muculants(complex_log(cf), n_max)
-            want = _log_coefficients(f.probs[None], f.offset, grid, n_max)[0][0]
+            want = reference_log_coefficients(f.probs[None], f.offset, grid, n_max, 1e-8)[0][0]
             assert got.values.tobytes() == want.tobytes(), (n_points, n_max)
             assert got.imag_residual == 0.0
             assert power_muculants(cf, n_max).imag_residual == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from muculants import (
     zoo_muculants,
     zoo_pmf,
 )
+from muculants.zoo import MAX_TERMS
 
 ALL_SPECS = [
     Poisson(2.0),
@@ -161,6 +163,75 @@ def test_geometric_pmf_entries():
     np.testing.assert_allclose(f.probs, 0.25 * 0.75 ** np.arange(len(f)), rtol=1e-14)
 
 
+def test_geometric_pmf_is_the_closed_form_bit_for_bit():
+    f = zoo_pmf(Geometric(0.01))
+    assert len(f) == 2750
+    assert f.probs.tobytes() == (0.01 * 0.99 ** np.arange(2750)).tobytes()
+    assert f.tail_mass_bound == 0.99**2750
+
+
+def peak_bytes(call):
+    """Peak traced allocation of ``call()`` and what it raised (None when
+    it returned)."""
+    tracemalloc.start()
+    try:
+        call()
+        raised = None
+    except Exception as exc:  # noqa: BLE001 - the caller checks it
+        raised = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, raised
+
+
+@pytest.mark.parametrize("text", ["geometric:p=1e-9", "negbinomial:r=1,p=0.999999999"])
+def test_infinite_supports_share_one_term_cap(text):
+    # one law, two spellings: each needs about 2.8e10 terms; the geometric
+    # used to allocate 206 GiB, the negative binomial to list 200,000
+    # terms before it gave up
+    peak, raised = peak_bytes(lambda: zoo_pmf(parse_spec(text)))
+    assert isinstance(raised, ValueError)
+    assert str(raised) == "truncation did not converge; parameters too extreme"
+    assert peak < 1 << 20
+
+
+def test_the_term_cap_sits_at_max_terms():
+    assert MAX_TERMS == 200_000
+    assert len(zoo_pmf(Geometric(1.4e-4))) <= MAX_TERMS
+    for p in (1.38e-4, 1e-17):  # 1 - 1e-17 rounds to one
+        with pytest.raises(ValueError, match="parameters too extreme"):
+            zoo_pmf(Geometric(p))
+    assert len(zoo_pmf(NegativeBinomial(1, 1.0 - 1.4e-4))) <= MAX_TERMS
+    with pytest.raises(ValueError, match="parameters too extreme"):
+        zoo_pmf(NegativeBinomial(1, 1.0 - 1.38e-4))
+
+
+def reference_truncated_probs(first, ratio):
+    """``zoo._truncated_probs`` as it was: one list, each term appended."""
+    out, total, k = [first], first, 0
+    while total < 1.0 - 1e-12:
+        out.append(out[-1] * ratio(k))
+        total += out[-1]
+        k += 1
+    return np.array(out), max(0.0, 1.0 - total)
+
+
+def test_truncated_families_are_the_term_loop_bit_for_bit():
+    laws = [(Poisson(k / 4), lambda k, lam=k / 4: lam / (k + 1)) for k in range(1, 2800, 37)]
+    laws += [
+        (NegativeBinomial(r, k / 50), lambda k, r=r, p=k / 50: p * (k + r) / (k + 1))
+        for r in (1, 2, 5, 20)
+        for k in range(1, 50, 4)
+    ]
+    for spec, ratio in laws:
+        first = math.exp(-spec.lam) if isinstance(spec, Poisson) else (1.0 - spec.p) ** spec.r
+        probs, deficit = reference_truncated_probs(first, ratio)
+        f = zoo_pmf(spec)
+        assert f.probs.tobytes() == probs.tobytes(), spec
+        assert f.tail_mass_bound == deficit, spec
+
+
 def test_negative_binomial_pmf_entries():
     f = zoo_pmf(NegativeBinomial(2, 0.3))
     for k in (0, 1, 4):
@@ -269,6 +340,15 @@ def test_asymmetric_range_is_honored():
 def test_range_must_contain_zero():
     with pytest.raises(ValueError):
         zoo_muculants(Poisson(1.0), (1, 5))
+
+
+@pytest.mark.parametrize("n_range", [(0, 4_194_305), (-4_194_305, 0), (-(10**8), 10**8)])
+def test_range_past_the_largest_grid_index_is_refused_before_allocating(n_range):
+    # MAX_GRID_POINTS / 4 = 4,194,304 is the largest n_max any grid route takes
+    peak, raised = peak_bytes(lambda: zoo_muculants(Poisson(2.0), n_range))
+    assert isinstance(raised, ValueError)
+    assert str(raised) == f"index range {n_range[0]}..{n_range[1]} reaches past +-4194304"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
