@@ -62,8 +62,13 @@ class FrequencyGrid:
         """Smallest admissible grid with at least ``minimum`` points, four per
         index of a support ``width`` wide (the phase resolution
         :func:`require_resolution` asks for) and four per coefficient index
-        up to ``n_max`` (the transforms' aliasing guard)."""
+        up to ``n_max`` (the transforms' aliasing guard).  ValueError names
+        the width and ``n_max`` when they need more than 2^24 points."""
         n = max(64, minimum, 4 * int(width), 4 * int(n_max))
+        if n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"width {width} and n_max {n_max} need more than {MAX_GRID_POINTS} grid points"
+            )
         return cls(1 << (n - 1).bit_length())
 
 

@@ -11,12 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
-    EMPIRICAL_FLOOR,
     CharFnSamples,
     FrequencyGrid,
     LogCharFnSamples,
     fold_indices,
-    log_half,
     require_modulus,
     span_width,
     support_width,
@@ -184,81 +182,6 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     vals[0] = np.log(p0)
     vals[1:] = w[1:] / np.arange(1, n_max + 1)
     return MuculantSeq(0, n_max, vals, "complex", 0.0)
-
-
-# Rows go through the log kernel in chunks of this many points over the
-# N-point grid (32 rows when N = 512), all in one workspace of about 0.4 MB.
-# At twice this size a chunk's rfft and irfft outputs (about 0.26 MB each
-# when N = 512) outgrow what the allocator keeps mapped from one chunk to
-# the next: a poisson_test at N = 512 took about 1,540 minor page faults
-# against 155, and every grid ran 9-18% slower (2-vCPU VM).
-_CHUNK_POINTS = 16384
-
-
-def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
-    """Buffers for :func:`_log_chunk` on up to ``rows`` rows of ``width``
-    counts over an n-point grid: the normalised counts, their fold, then
-    |Phi| and the log over the N/2 + 1 points mu = 0..pi, and the N/2
-    phase steps between those points."""
-    half = n // 2 + 1
-    return (
-        np.empty((rows, width)),
-        np.empty((rows, n)),
-        np.empty((rows, half)),
-        np.empty((rows, half), dtype=complex),
-        np.empty((rows, half - 1)),
-    )
-
-
-def _log_coefficients(counts, offset, grid, n_max):
-    """The batch of :func:`replicate_statistics`: coefficients
-    c[-n_max..n_max] of log Phi for each row of ``counts`` (NaN in rows
-    whose |Phi| dips below the empirical 1e-3 floor), and each row's
-    smallest |Phi|.  Row r counts draws equal to ``offset``, ``offset + 1``,
-    ...; it is divided by its row sum, and Phi(0) is set to exactly 1.
-
-    Each row takes the stages of :func:`empirical_charfn`,
-    :func:`complex_log` and :func:`complex_muculants`, so it gets their
-    bytes: one rfft of the folded row for conj(Phi) on mu in [0, pi], its
-    :func:`log_half`, and one :func:`_cepstrum` per chunk.  Rows go through
-    :func:`_log_chunk` ``_CHUNK_POINTS`` grid points at a time, in one
-    :func:`_workspace` per call; no bit depends on the chunks.
-    """
-    n = grid.n_points
-    require_index_range(n, n_max)
-    rows, width = counts.shape
-    chunk = max(1, _CHUNK_POINTS // n)
-    work = _workspace(min(chunk, rows), n, width)
-    out = np.empty((rows, 2 * n_max + 1))
-    min_abs = np.empty(rows)
-    for lo in range(0, rows, chunk):
-        part = slice(lo, lo + chunk)
-        _log_chunk(counts[part], offset, n, work, out[part], min_abs[part])
-    return out, min_abs
-
-
-def _log_chunk(counts, offset, n, work, out, min_abs) -> None:
-    """:func:`_log_coefficients` of the rows of ``counts`` into ``out`` and
-    ``min_abs``, through the buffers ``work``.  Over the grid it allocates
-    only the two transforms' outputs, freed on return, and when the floor
-    drops rows the copies that move the kept rows to the front."""
-    rows = len(counts)
-    n_max = out.shape[1] // 2
-    normalised, folded, mods, log, steps = (b[:rows] for b in work)
-    np.divide(counts, counts.sum(axis=-1, keepdims=True), out=normalised)
-    fold_indices(normalised, offset, n, out=folded)
-    spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
-    spec[:, 0] = 1.0  # exact by construction
-    np.abs(spec, out=mods).min(axis=-1, out=min_abs)
-    keep = min_abs >= EMPIRICAL_FLOOR
-    out[~keep] = np.nan
-    k = int(np.count_nonzero(keep))
-    if k:
-        if k < rows:
-            spec[:k] = spec[keep]
-            mods[:k] = mods[keep]
-        log_half(spec[:k], mods[:k], log[:k], steps[:k])
-        out[keep] = _cepstrum(log[:k], n, n_max)
 
 
 def _half_charfn(seq: MuculantSeq, n: int) -> np.ndarray:

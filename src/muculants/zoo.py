@@ -145,11 +145,17 @@ def zoo_pmf(spec: DistributionSpec) -> PMF:
         )
         return PMF(0, probs, tail_mass_bound=deficit)
     if isinstance(spec, Binomial):
-        xi = np.arange(spec.n + 1)
-        probs = np.array(
-            [math.comb(spec.n, int(i)) * spec.p**i * (1.0 - spec.p) ** (spec.n - i) for i in xi]
-        )
-        return PMF(0, probs)
+        n, p = spec.n, spec.p
+
+        def term(i):  # i an np.int64, as np.arange gives it
+            return math.comb(n, int(i)) * p**i * (1.0 - p) ** (n - i)
+
+        try:  # the end probabilities first, before anything n long is built
+            if min(term(np.int64(0)), term(np.int64(n))) > 0.0:
+                return PMF(0, np.array([term(i) for i in np.arange(n + 1)]))
+        except OverflowError:  # C(n, i) outgrows a double
+            pass
+        raise ValueError(f"{spec_string(spec)} is too extreme: its PMF does not fit in doubles")
     raise TypeError(f"not a distribution spec: {spec!r}")
 
 

@@ -96,8 +96,9 @@ def reference_log_coefficients(weights, offset, grid, n_max, floor, *, histogram
     """The sample/PMF log kernel as it was before its workspace held every
     buffer: fresh normalised rows, a zeroed ``np.add.at`` fold, the phase
     unwrapped through numpy temporaries (diff, divide, round, cumsum,
-    times -2 pi), an ``np.full`` result.  ``transform._log_coefficients``
-    must return the same bytes."""
+    times -2 pi), an ``np.full`` result.  The staged route must return the
+    same bytes, and ``inference.replicate_statistics`` the same bytes of each
+    histogram row's statistic."""
     n = grid.n_points
     rows = len(weights)
     if histogram:

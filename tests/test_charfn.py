@@ -73,11 +73,14 @@ def test_grid_ceiling_is_refused_at_construction():
     assert FrequencyGrid.for_width(0, n_max=1 << 22).n_points == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="at most 16777216, got 33554432"):
         FrequencyGrid(1 << 25)
-    with pytest.raises(ValueError, match="at most 16777216, got 33554432"):
+    # for_width names the width and n_max it was given, not the grid they need
+    with pytest.raises(ValueError, match="^width 0 and n_max 4194305 need more than 16777216 grid"):
         FrequencyGrid.for_width(0, n_max=(1 << 22) + 1)
+    with pytest.raises(ValueError, match="^width 16777217 and n_max 0 need more than 16777216 grid"):
+        FrequencyGrid.for_width(1 << 24 | 1, 4096)
     with pytest.raises(ValueError, match=r"^sample range 0\.\.1000000000 needs more than 16777216"):
         grid_for_samples(np.array([0, 10**9]))
-    with pytest.raises(ValueError, match="got 4294967296"):
+    with pytest.raises(ValueError, match="^width 10 and n_max 1000000000 need more than 16777216"):
         grid_for_samples(np.arange(5), n_max=10**9)
 
 

@@ -11,11 +11,11 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - no root finder: nothing calls ``roots(`` (``np.roots`` is O(L^3) and took
   21 ms on a 124-long PMF; the zero test is a step-down, and the tests keep
   ``np.roots`` as its reference);
-- one route per shape: ``transform._log_coefficients``, the log kernel,
-  is called only in ``inference.replicate_statistics`` (the bootstrap's
-  batch of histograms) and takes exactly ``(counts, offset, grid,
-  n_max)``; a single charfn goes through the staged stages, so
-  ``estimate_muculants`` calls ``empirical_charfn`` and ``decompose``
+- one route per shape: the bootstrap's batch of histograms is
+  ``inference.replicate_statistics``, which takes exactly ``(counts,
+  offset, grid, window)`` and is the only caller of its chunk function,
+  ``_chunk_statistics``; a single charfn goes through the staged stages,
+  so ``estimate_muculants`` calls ``empirical_charfn`` and ``decompose``
   calls ``eval_charfn``, each then ``complex_log`` and
   ``complex_muculants``;
 - one transform convention: no module uses ``grid_synthesis`` or
@@ -32,9 +32,9 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - the number format has one home: the text ``.17g`` occurs exactly once in
   the package, so ``io.format_number`` and the list renderer beside it
   cannot drift apart;
-- the log kernel owns its chunking: ``_CHUNK_POINTS`` and ``_workspace``
-  are read only in ``transform.py``, where ``_log_coefficients`` runs its
-  own chunk loop;
+- the bootstrap's batch owns its chunking: ``_CHUNK_POINTS`` and
+  ``_workspace`` are read only in ``inference.py``, where
+  ``replicate_statistics`` runs its own chunk loop;
 - the vanishing floor has one home: ``VANISH_TOL`` and ``EMPIRICAL_FLOOR``
   are assigned only in ``charfn.py``, ``cli.py`` names neither of them nor
   ``require_modulus`` and holds no floor literal (the floor follows the
@@ -53,9 +53,10 @@ No linter ships with the test dependencies, so these are small stdlib-only
 - one log arithmetic: ``np.arctan2`` is called only in ``charfn.log_half``,
   and ``transform._cepstrum`` is the only reader of an ``irfft`` of a log
   (the only other ``irfft``, in ``reconstruct_sequence``, inverts a
-  charfn); the three coefficient readers, the log kernel,
-  ``complex_muculants`` and ``power_muculants``, each call ``_cepstrum``,
-  and the kernel and ``complex_log`` each call ``log_half``.
+  charfn); the three coefficient readers, the batch's
+  ``_chunk_statistics``, ``complex_muculants`` and ``power_muculants``,
+  each call ``_cepstrum``, and ``_chunk_statistics`` and ``complex_log``
+  each call ``log_half``.
 """
 
 import ast
@@ -151,20 +152,20 @@ def test_no_root_finder_in_the_package():
 
 
 def test_one_route_per_shape():
-    # the log kernel is the bootstrap's batch of histograms; a single charfn,
-    # one PMF or one sample, goes through the staged stages
+    # replicate_statistics is the bootstrap's batch of histograms; a single
+    # charfn, one PMF or one sample, goes through the staged stages
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    callers = {name: callers_of(source, "_log_coefficients") for name, source in sources.items()}
+    callers = {name: callers_of(source, "_chunk_statistics") for name, source in sources.items()}
     callers = {name: c for name, c in callers.items() if c}
     assert callers == {"inference.py": ["replicate_statistics"]}
-    kernel = next(
+    batch = next(
         node
-        for node in ast.parse(sources["transform.py"]).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_log_coefficients"
+        for node in ast.parse(sources["inference.py"]).body
+        if isinstance(node, ast.FunctionDef) and node.name == "replicate_statistics"
     )
-    params = kernel.args.posonlyargs + kernel.args.args + kernel.args.kwonlyargs
-    assert [a.arg for a in params] == ["counts", "offset", "grid", "n_max"]
-    assert kernel.args.vararg is None and kernel.args.kwarg is None
+    params = batch.args.posonlyargs + batch.args.args + batch.args.kwonlyargs
+    assert [a.arg for a in params] == ["counts", "offset", "grid", "window"]
+    assert batch.args.vararg is None and batch.args.kwarg is None
     staged = {"complex_log", "complex_muculants"}
     for module, function, synthesis in (
         ("inference.py", "estimate_muculants", "empirical_charfn"),
@@ -253,7 +254,7 @@ def test_the_number_format_has_one_home():
 def test_the_log_kernel_owns_its_chunking():
     for name in ("_CHUNK_POINTS", "_workspace"):
         reads = {p.name: name_uses(p.read_text(), name) for p in PACKAGE.glob("*.py")}
-        assert [module for module, lines in reads.items() if lines] == ["transform.py"], name
+        assert [module for module, lines in reads.items() if lines] == ["inference.py"], name
 
 
 def assigned_lines(source: str, name: str) -> list[int]:
@@ -337,7 +338,7 @@ def test_the_log_arithmetic_has_one_home():
         "transform.py": ["_cepstrum", "reconstruct_sequence"]
     }
     stages = {
-        ("transform.py", "_log_chunk"): {"log_half", "_cepstrum"},
+        ("inference.py", "_chunk_statistics"): {"log_half", "_cepstrum"},
         ("transform.py", "complex_muculants"): {"_cepstrum"},
         ("transform.py", "power_muculants"): {"_cepstrum"},
         ("charfn.py", "complex_log"): {"log_half"},

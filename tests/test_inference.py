@@ -27,9 +27,7 @@ from muculants import (
 )
 from muculants.charfn import fold_indices, grid_analysis, grid_synthesis, unwrap_phase
 import muculants.inference as inference
-import muculants.transform as transform
 from muculants.inference import replicate_statistics
-from muculants.transform import _log_coefficients
 
 from support import reference_is_hermitian, reference_log_coefficients
 
@@ -379,8 +377,7 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     # spectrum must take the same bit as the full-grid synthesis
     grid = FrequencyGrid(n_points)
     counts = tied_histograms(np.random.default_rng([7, n_points]), 120)
-    _, min_abs = _log_coefficients(counts, 0, grid, 8)
-    keep = min_abs >= 1e-3
+    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8)))
     want = [
         np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).values).min() >= 1e-3
         for c in counts
@@ -416,7 +413,7 @@ def log_kernel_cases():
 def chunk_settings(n_points, rows):
     """_CHUNK_POINTS values that run ``rows`` rows one row per chunk, in
     chunks of the default size, and in one chunk."""
-    return (n_points, transform._CHUNK_POINTS, rows * n_points)
+    return (n_points, inference._CHUNK_POINTS, rows * n_points)
 
 
 def staged_pmf_rows(weights, offset, grid, n_max):
@@ -434,49 +431,53 @@ def staged_pmf_rows(weights, offset, grid, n_max):
 
 
 def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
-    # histogram rows run through the kernel; one row per chunk reuses the
-    # workspace, left dirty, for every row.  PMF rows run through the
-    # staged route, which computes the same stages one row at a time
+    # histogram rows run through the bootstrap's batch, whose statistic is
+    # the reference coefficients' contiguous square-sum; one row per chunk
+    # reuses the workspace, left dirty, for every row.  PMF rows run through
+    # the staged route, which computes the same stages one row at a time
     dropped = kept = 0
     for label, weights, offset, grid, n_max, floor, histogram in log_kernel_cases():
         want_coef, want_min = reference_log_coefficients(
             weights, offset, grid, n_max, floor, histogram=histogram
         )
-        runs = []
         if histogram:
+            ns = np.arange(-n_max, n_max + 1)
+            usable = (ns != 0) & (ns != 1)
+            want = np.sum(np.ascontiguousarray(want_coef[:, usable]) ** 2, axis=-1)
             for points in chunk_settings(grid.n_points, len(weights)):
-                monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
-                runs.append((points, _log_coefficients(weights, offset, grid, n_max)))
+                monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
+                got = replicate_statistics(weights, offset, grid, (-n_max, n_max))
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want_coef[:, 0]))
+                assert got.tobytes() == want.tobytes(), (label, grid.n_points, points)
         else:
-            runs.append(("staged", staged_pmf_rows(weights, offset, grid, n_max)))
-        for route, (coef, min_abs) in runs:
-            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points, route)
-            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points, route)
+            coef, min_abs = staged_pmf_rows(weights, offset, grid, n_max)
+            assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points)
+            assert min_abs.tobytes() == want_min.tobytes(), (label, grid.n_points)
         dropped += int(np.isnan(want_coef[:, 0]).sum())
         kept += int(np.isfinite(want_coef[:, 0]).sum())
     assert dropped >= 100 and kept >= 300
 
 
 def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
-    # a one-chunk call allocates its workspace, its result, the rfft and
+    # a one-chunk call allocates its workspace, its statistics, the rfft and
     # irfft outputs and a few per-row vectors: no other rows x N array; a
-    # second chunk adds only its result rows, as the first chunk's
-    # transform outputs are freed before it allocates its own
+    # second chunk adds only its statistics, as the first chunk's transform
+    # outputs are freed before it allocates its own
     grid = FrequencyGrid(512)
     pmf = zoo_pmf(Geometric(0.25))
     counts = np.random.default_rng(62).multinomial(10_000, pmf.probs, size=64)
-    assert transform._CHUNK_POINTS // 512 == 32
+    assert inference._CHUNK_POINTS // 512 == 32
     folded, log = np.zeros((32, 512)), np.zeros((32, 257), dtype=complex)
     results = []
     tracemalloc.start()
     try:
         footprints = []
         for call in (
-            lambda: transform._workspace(32, 512, counts.shape[-1]),
+            lambda: inference._workspace(32, 512, counts.shape[-1]),
             lambda: np.fft.rfft(folded),
             lambda: (np.fft.rfft(folded), np.fft.irfft(log, 512)),
-            lambda: results.append(_log_coefficients(counts[:32], 0, grid, 8)),
-            lambda: results.append(_log_coefficients(counts, 0, grid, 8)),
+            lambda: results.append(replicate_statistics(counts[:32], 0, grid, (-8, 8))),
+            lambda: results.append(replicate_statistics(counts, 0, grid, (-8, 8))),
         ):
             call()  # warm
             results.clear()
@@ -486,13 +487,51 @@ def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
             footprints.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert np.isfinite(results[-1][0]).all()
+    assert np.isfinite(results[-1]).all()
     workspace, transforms = footprints[0], max(footprints[1:3])
     one_chunk, two_chunks = footprints[3:]
     halves = 32 * 257 * 8  # one float array over mu = 0..pi
-    result = 32 * (17 + 1) * 8  # coefficients and smallest |Phi| of 32 rows
+    result = 32 * 8  # the statistics of 32 rows
     assert one_chunk < workspace + transforms + result + halves // 4, footprints
     assert two_chunks < one_chunk + halves // 4, footprints
+
+
+def test_replicate_statistics_memory_does_not_grow_with_the_window():
+    # each chunk keeps only its rows' statistics: a rows x (2 n_max + 1)
+    # coefficient matrix would alone take 16 MB here
+    pmf = zoo_pmf(Poisson(3.0))
+    counts = np.random.default_rng(63).multinomial(10_000, pmf.probs, size=1000)
+    grid = FrequencyGrid(4096)
+    tracemalloc.start()
+    try:
+        stats = replicate_statistics(counts, pmf.offset, grid, (-1000, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert stats.shape == (1000,) and np.isfinite(stats).any()
+
+
+def test_a_window_past_the_grid_ceiling_is_refused_before_it_is_built():
+    # one index past MAX_GRID_POINTS / 4, the largest n_max a grid takes;
+    # (-2 * 10**7, 8) used to build 381.5 MiB of masks, then name a
+    # 2^25-point grid
+    x = np.random.default_rng(64).poisson(3.0, 200)
+    counts, grid = np.bincount(x)[None], grid_for_samples(x, 8)
+    for window in ((-4194305, 8), (-8, 4194305)):
+        for call in (
+            lambda: poisson_test(x, window=window),
+            lambda: replicate_statistics(counts, 0, grid, window),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as raised:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(raised.value) == f"window {window[0]}:{window[1]} reaches past +-4194304"
+            assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -505,7 +544,7 @@ def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
 def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
     x = draw(np.random.default_rng(41))
     assert grid_for_samples(x, 8).n_points == n_points
-    assert 1000 % (transform._CHUNK_POINTS // n_points) != 0  # the last chunk is partial
+    assert 1000 % (inference._CHUNK_POINTS // n_points) != 0  # the last chunk is partial
     seen = []
 
     def recording(*args):
@@ -515,7 +554,7 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
     monkeypatch.setattr(inference, "replicate_statistics", recording)
     results = []
     for points in chunk_settings(n_points, 1000):
-        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
         results.append(poisson_test(x, seed=3))
     stats = [s.tobytes() for s in seen]
     assert len(stats) == 3 and stats[1:] == stats[:-1]
@@ -527,14 +566,14 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
 def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     grid = FrequencyGrid(128)
     counts = tied_histograms(np.random.default_rng([7, 128]), 120)
-    keep = _log_coefficients(counts, 0, grid, 8)[1] >= 1e-3
+    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8)))
     kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     pairs = min(len(kept), len(dropped))
     assert pairs >= 20
     alternating = counts[np.column_stack([kept[:pairs], dropped[:pairs]]).ravel()]
     stats = []
     for points in chunk_settings(128, len(alternating)):
-        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
         stats.append(replicate_statistics(alternating, 0, grid, (-8, 8)))
     np.testing.assert_array_equal(np.isnan(stats[0]), np.arange(2 * pairs) % 2 == 1)
     assert stats[1].tobytes() == stats[0].tobytes() == stats[2].tobytes()
@@ -542,18 +581,18 @@ def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
 
 def test_replicate_statistics_builds_one_workspace_per_call(monkeypatch):
     built = []
-    workspace = transform._workspace
+    workspace = inference._workspace
 
     def spy(rows, n, width):
         built.append((rows, n))
         return workspace(rows, n, width)
 
-    monkeypatch.setattr(transform, "_workspace", spy)
+    monkeypatch.setattr(inference, "_workspace", spy)
     pmf = zoo_pmf(Poisson(3.0))
     counts = np.random.default_rng(43).multinomial(10_000, pmf.probs, size=1000)
-    default_rows = transform._CHUNK_POINTS // 128
+    default_rows = inference._CHUNK_POINTS // 128
     for points, rows in zip(chunk_settings(128, 1000), (1, default_rows, 1000)):
-        monkeypatch.setattr(transform, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
         built.clear()
         replicate_statistics(counts, pmf.offset, FrequencyGrid(128), (-8, 8))
         assert built == [(rows, 128)]

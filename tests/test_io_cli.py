@@ -569,7 +569,9 @@ def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path,
     p = write_samples(tmp_path / "xs.txt", [0, 1] * 100)
     code, out, err = run_cli(capsys, "cumulants", "--input", p, "--n-max", "1000000000")
     assert (code, out) == (2, "")
-    assert err == "error: ValueError: n_points must be at most 16777216, got 4294967296\n"
+    assert err == (
+        "error: ValueError: width 4 and n_max 1000000000 need more than 16777216 grid points\n"
+    )
     code, out, err = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", str(1 << 25))
     assert (code, out) == (2, "")
     assert err == "error: ValueError: n_points must be at most 16777216, got 33554432\n"
@@ -580,6 +582,38 @@ def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path,
     code, _, _ = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", "4096")
     assert code == 0
     assert sizes == [128, 4096]
+
+
+def test_cli_names_the_width_a_refused_grid_was_sized_for(capsys, tmp_path):
+    # each route sizes its grid from a support or window it was given; the
+    # refusal names that, not the 2^32-point grid it would have needed
+    far = tmp_path / "far.json"
+    far.write_text(dumps_json(pmf_to_dict(validate_pmf(10**9, [0.25, 0.75]))))
+    for argv, width, n_max in (
+        (("muculants", "--input", str(far)), 1000000002, 20),
+        (("decompose", "--input", str(far)), 1000000002, 100),
+        (("reconstruct", "--dist", "poisson:lambda=2", "--support", "0:1000000000"), 1000000001, 20),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            f"error: ValueError: width {width} and n_max {n_max} "
+            "need more than 16777216 grid points\n"
+        )
+
+
+def test_cli_refuses_a_window_past_the_grid_ceiling_before_building_it(capsys, tmp_path):
+    # one index past MAX_GRID_POINTS / 4; -10^9:8 used to take about 19 GB
+    p = write_samples(tmp_path / "xs.txt", np.random.default_rng(9).poisson(3.0, 200))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "poisson-test", "--input", p, "--window", "-4194305:8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: window -4194305:8 reaches past +-4194304\n"
 
 
 def test_cli_sample_routes_share_one_floor_message(capsys, tmp_path):
@@ -643,11 +677,21 @@ def test_cli_pmf_routes_print_the_log_kernel_coefficients(capsys, tmp_path):
             ("zoo", "--dist", "poisson:lambda=2", "--n-max", "100000000"),
             "index range -100000000..100000000 reaches past +-4194304",
         ),
+        (
+            ("muculants", "--dist", "binomial:n=2000,p=0.4"),
+            "binomial:n=2000,p=0.4 is too extreme: its PMF does not fit in doubles",
+        ),
+        (
+            ("muculants", "--dist", "binomial:n=1000,p=0.3"),
+            "binomial:n=1000,p=0.3 is too extreme: its PMF does not fit in doubles",
+        ),
     ],
 )
 def test_cli_refuses_laws_and_ranges_too_large_to_hold(capsys, argv, message):
     # the geometric spelling died allocating 206 GiB, and the zoo range was
-    # killed for memory, where the negative binomial spelling was refused
+    # killed for memory, where the negative binomial spelling was refused;
+    # the first binomial died with an OverflowError traceback, and the second
+    # was refused as an untrimmed PMF, its last probability 0.3^1000 = 0
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
 

@@ -23,6 +23,7 @@ from muculants import (
     complex_muculants,
     cumulants_from_muculants,
     decompose,
+    empirical_charfn,
     eval_charfn,
     grid_analysis,
     grid_for_samples,
@@ -37,7 +38,7 @@ from muculants import (
     zoo_pmf,
 )
 from muculants.charfn import fold_indices, span_width
-from muculants.transform import _log_coefficients
+from muculants.inference import replicate_statistics
 
 from support import (
     CAUSAL_ZOO_SWEEP,
@@ -193,7 +194,7 @@ def test_log_kernel_takes_a_pmf_as_it_is():
 
 
 def test_log_kernel_pins_phi_at_zero_only_for_histograms(monkeypatch):
-    # the kernel's histogram rows have Phi(0) = 1 exactly; the staged route
+    # the batch's histogram rows have Phi(0) = 1 exactly; the staged route
     # takes a PMF's Phi(0) as its rfft gives it
     counts = np.full((1, 17), 7)
     freqs = counts / counts.sum()
@@ -207,7 +208,7 @@ def test_log_kernel_pins_phi_at_zero_only_for_histograms(monkeypatch):
         return irfft(a, n)
 
     monkeypatch.setattr(np.fft, "irfft", spy)
-    _log_coefficients(counts, 0, grid, 8)
+    replicate_statistics(counts, 0, grid, (-8, 8))
     staged_pmf_route(validate_pmf(0, freqs[0]), grid, 8)
     assert logs[0] == 0.0  # log 1
     assert logs[1] == np.log(np.abs(np.fft.rfft(fold_indices(freqs, 0, 128))[0, 0])) != 0.0
@@ -222,9 +223,8 @@ def test_log_kernel_refuses_rows_below_its_floor():
     assert np.isfinite(complex_muculants(logcf, 8).values).all()
     x = sampling_noise_draw()
     grid = grid_for_samples(x, 8)
-    coef, min_abs = _log_coefficients(np.bincount(x)[None], 0, grid, 8)
-    assert min_abs[0] == pytest.approx(8.0e-4, rel=1e-9)
-    assert np.isnan(coef).all()
+    assert np.abs(empirical_charfn(x, grid).half).min() == pytest.approx(8.0e-4, rel=1e-9)
+    assert np.isnan(replicate_statistics(np.bincount(x)[None], 0, grid, (-8, 8))).all()
 
 
 # ---------------------------------------------- one transform convention

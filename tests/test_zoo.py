@@ -207,6 +207,25 @@ def test_the_term_cap_sits_at_max_terms():
         zoo_pmf(NegativeBinomial(1, 1.0 - 1.38e-4))
 
 
+@pytest.mark.parametrize("n, p", [(1030, 0.4999), (2000, 0.4), (1000, 0.3), (10**7, 0.2)])
+def test_a_binomial_beyond_doubles_is_refused_by_name(n, p):
+    # C(n, i) outgrows a double (an OverflowError once) or an end
+    # probability p^n or (1 - p)^n underflows to 0 (an untrimmed PMF once);
+    # n = 10^7 is refused before anything n long is built
+    peak, raised = peak_bytes(lambda: zoo_pmf(Binomial(n, p)))
+    assert isinstance(raised, ValueError)
+    assert str(raised) == f"binomial:n={n},p={p} is too extreme: its PMF does not fit in doubles"
+    assert peak < 1 << 20
+
+
+def test_the_largest_binomials_still_build_as_products():
+    for n, p in ((1020, 0.4999), (600, 0.3), (64, 1e-5)):
+        f = zoo_pmf(Binomial(n, p))
+        want = [math.comb(n, int(i)) * p**i * (1.0 - p) ** (n - i) for i in np.arange(n + 1)]
+        assert f.probs.tolist() == want
+        assert f.probs[0] > 0.0 and f.probs[-1] > 0.0
+
+
 def reference_truncated_probs(first, ratio):
     """``zoo._truncated_probs`` as it was: one list, each term appended."""
     out, total, k = [first], first, 0
