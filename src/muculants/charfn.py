@@ -178,7 +178,7 @@ class CharFnSamples:
 
     ``half`` holds conj(Phi) at mu = 0, 2pi/N, ..., pi (the rfft convention),
     all of a Hermitian Phi; its self-paired points mu = 0 and pi must be
-    real within 5e-11.  :attr:`values`, the full grid, is derived from it.
+    real within 5e-11.
 
     ``source`` records provenance: "exact-from-pmf" (modulus capped at one),
     "empirical" (value 1 at mu = 0 by construction, modulus not clipped), or
@@ -198,12 +198,6 @@ class CharFnSamples:
             raise ValueError("samples are not Hermitian within 1e-10")
         if self.source == "exact-from-pmf" and np.max(np.abs(half)) > 1.0 + 1e-10:
             raise ValueError("charfn modulus exceeds one")
-
-    @property
-    def values(self) -> np.ndarray:
-        """Phi at mu = -pi, ..., pi - 2pi/N: half[k] at -mu_k, its conjugate at mu_k."""
-        h = self.grid.zero_index
-        return np.concatenate([self.half[h:0:-1], np.conj(self.half[:h])])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import EMPIRICAL_FLOOR, MAX_GRID_POINTS, FrequencyGrid, complex_log, empirical_charfn
-from .charfn import fold_indices, integer_samples, log_half, require_sample_size, span_width
+from .charfn import fold_indices, integer_samples, log_half, require_modulus, require_sample_size
+from .charfn import sample_histogram, span_width
 from .errors import CharFnVanishes, NegativeSampleValue
+from .pmf import integer_argument
 from .transform import MuculantSeq, _cepstrum, complex_muculants, require_index_range
 
 DEFAULT_WINDOW = (-8, 8)
@@ -59,9 +61,10 @@ def grid_for_samples(samples, n_max: int = 0) -> FrequencyGrid:
     to ``n_max``.  ValueError names a range that needs more than 2^24 points."""
     xi = integer_samples(samples)
     lo, hi = int(xi.min()), int(xi.max())
-    if 8 * span_width(lo, hi) > MAX_GRID_POINTS:
+    w = span_width(lo, hi)
+    if 8 * w > MAX_GRID_POINTS:
         raise ValueError(f"sample range {lo}..{hi} needs more than {MAX_GRID_POINTS} grid points")
-    return FrequencyGrid.for_width(2 * span_width(lo, hi), 128, n_max)
+    return FrequencyGrid.for_width(w, max(128, 8 * w), n_max)
 
 
 def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
@@ -114,9 +117,10 @@ def poisson_statistic(seq: MuculantSeq, window) -> float:
     return float(np.sum(seq.values[mask] ** 2))
 
 
-def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np.ndarray:
-    """:func:`poisson_statistic` of :func:`estimate_muculants` for a stack
-    of samples given as histograms, NaN where the sample admits no estimate.
+def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> tuple:
+    """(statistics, min_abs) for a stack of samples given as histograms: the
+    :func:`poisson_statistic` of :func:`estimate_muculants`, NaN where the
+    sample admits no estimate, and the smallest |Phi| over the grid.
 
     Row r of ``counts`` holds how many draws of sample r equal ``offset``,
     ``offset + 1``, ...  Each row takes the stages of the per-sample route
@@ -135,17 +139,18 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> np
     rows, width = counts.shape
     chunk = max(1, _CHUNK_POINTS // n)
     work = _workspace(min(chunk, rows), n, width)
-    out = np.empty(rows)
+    out, min_abs = np.empty(rows), np.empty(rows)
     for lo in range(0, rows, chunk):
-        _chunk_statistics(counts[lo : lo + chunk], offset, n, mask, work, out[lo : lo + chunk])
-    return out
+        part = slice(lo, lo + chunk)
+        _chunk_statistics(counts[part], offset, n, mask, work, out[part], min_abs[part])
+    return out, min_abs
 
 
 def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
     """Buffers for :func:`_chunk_statistics` on up to ``rows`` rows of
     ``width`` counts over an n-point grid: the normalised counts, their
-    fold, then |Phi| and the log over the N/2 + 1 points mu = 0..pi, the N/2
-    phase steps between those points, and each row's smallest |Phi|."""
+    fold, then |Phi| and the log over the N/2 + 1 points mu = 0..pi, and the
+    N/2 phase steps between those points."""
     half = n // 2 + 1
     return (
         np.empty((rows, width)),
@@ -153,17 +158,16 @@ def _workspace(rows: int, n: int, width: int) -> tuple[np.ndarray, ...]:
         np.empty((rows, half)),
         np.empty((rows, half), dtype=complex),
         np.empty((rows, half - 1)),
-        np.empty(rows),
     )
 
 
-def _chunk_statistics(counts, offset, n, mask, work, out) -> None:
-    """:func:`replicate_statistics` of the rows of ``counts`` into ``out``,
-    through the buffers ``work``.  Over the grid it allocates only the two
-    transforms' outputs, freed on return, and when the floor drops rows the
-    copies that move the kept rows to the front."""
+def _chunk_statistics(counts, offset, n, mask, work, out, min_abs) -> None:
+    """:func:`replicate_statistics` of the rows of ``counts`` into ``out`` and
+    ``min_abs``, through the buffers ``work``.  Over the grid it allocates
+    only the two transforms' outputs, freed on return, and when the floor
+    drops rows the copies that move the kept rows to the front."""
     rows = len(counts)
-    normalised, folded, mods, log, steps, min_abs = (b[:rows] for b in work)
+    normalised, folded, mods, log, steps = (b[:rows] for b in work)
     np.divide(counts, counts.sum(axis=-1, keepdims=True), out=normalised)
     fold_indices(normalised, offset, n, out=folded)
     spec = np.fft.rfft(folded)  # conj(Phi) at mu = 0, 2pi/N, ..., pi
@@ -221,37 +225,41 @@ def poisson_test(
     the threshold is the empirical (1 - alpha) quantile of the replicate
     statistics.
 
-    The statistic needs only each resample's histogram, and the counts of
-    m i.i.d. draws are exactly Multinomial(m, pmf).  So the resamples are
-    drawn as histograms, in one ``multinomial`` call of
-    ``np.random.default_rng(seed)`` over the Poisson(lambda_hat) pmf (each
-    tail lighter than 1e-16 lumped into its end cell), and run through
-    :func:`replicate_statistics`.  Results are bit-for-bit reproducible for
-    a given seed.  Replicates whose empirical charfn dips below the 1e-3
-    floor admit no estimate and are dropped from the calibration (the
-    observed-data statistic still propagates :class:`CharFnVanishes`);
+    The statistic needs only a sample's histogram, and the counts of m
+    i.i.d. draws are exactly Multinomial(m, pmf).  So the data is its
+    :func:`sample_histogram`, the resamples are drawn as histograms in one
+    ``multinomial`` call of ``np.random.default_rng(seed)`` over the
+    Poisson(lambda_hat) pmf (each tail lighter than 1e-16 lumped into its
+    end cell), and both are scored by :func:`replicate_statistics`.
+    Results are bit-for-bit reproducible for a given seed.  Replicates whose
+    empirical charfn dips below the 1e-3 floor admit no estimate and are
+    dropped from the calibration (the data raises :class:`CharFnVanishes`);
     ``n_bootstrap_used`` records how many replicates entered.
 
     Exit states: errors for negative or non-integer samples, fewer than
-    100 observations, or a window with non-integer bounds, no range or no
-    index other than 0 and 1.
+    100 observations, a non-integer or nonpositive ``n_bootstrap``, or a
+    window with non-integer bounds, no range or no index other than 0 and 1.
     """
     xi = integer_samples(samples)
     if np.min(xi) < 0:
         raise NegativeSampleValue("Poisson samples must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if n_bootstrap < 1:
+    if integer_argument("n_bootstrap", n_bootstrap) < 1:
         raise ValueError("n_bootstrap must be positive")
     n_max = len(_window_mask(window)) // 2
 
     grid = grid_for_samples(xi, n_max)
-    stat = poisson_statistic(estimate_muculants(xi, grid, n_max), window)
-    lam_hat = float(xi.mean())
+    hist, lo = sample_histogram(xi, grid)
+    observed, min_abs = replicate_statistics(hist[None], lo, grid, window)
+    require_modulus(min_abs, empirical=True)
+    stat = float(observed[0])
+    m = int(hist.sum())
+    lam_hat = int(hist @ np.arange(lo, lo + hist.size)) / m  # an exact sum: xi.mean()
 
     offset, pmf = _poisson_pmf(lam_hat)
-    counts = np.random.default_rng(seed).multinomial(xi.size, pmf, size=n_bootstrap)
-    replicate_stats = replicate_statistics(counts, offset, grid, window)
+    counts = np.random.default_rng(seed).multinomial(m, pmf, size=n_bootstrap)
+    replicate_stats, _ = replicate_statistics(counts, offset, grid, window)
     arr = replicate_stats[~np.isnan(replicate_stats)]  # see docstring
     if arr.size == 0:
         raise CharFnVanishes("no bootstrap replicate admitted coefficient estimates")

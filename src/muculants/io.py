@@ -12,7 +12,7 @@ import numpy as np
 from .decompose import Decomposition
 from .errors import EmptySample
 from .inference import PoissonTestResult
-from .pmf import PMF, CumulantVector, SignedSequence, validate_pmf
+from .pmf import PMF, CumulantVector, SignedSequence, integer_argument, validate_pmf
 from .transform import MuculantSeq
 
 _INT64 = np.iinfo(np.int64)
@@ -126,10 +126,7 @@ def pmf_to_dict(f: PMF) -> dict:
 def _integer_field(d: dict, field: str) -> int:
     """``d[field]`` when it is an integer; a float, bool or string is
     refused rather than truncated."""
-    value = d[field]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f'"{field}" must be an integer, got {value!r}')
-    return int(value)
+    return integer_argument(f'"{field}"', d[field])
 
 
 def _is_number(value) -> bool:

@@ -38,6 +38,15 @@ def frozen_vector(obj, name: str, length=None, dtype=np.float64) -> np.ndarray:
     return a
 
 
+def integer_argument(name: str, value) -> int:
+    """``value`` as an int when it is an int or numpy integer; a bool, float
+    or anything else is refused with ValueError naming ``name`` rather than
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PMF:
     """Probability mass function on the integers.
@@ -56,6 +65,7 @@ class PMF:
     tail_mass_bound: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", integer_argument("offset", self.offset))
         probs = frozen_vector(self, "probs")
         if np.any(probs < 0.0):
             raise NegativeMass("PMF entries must be nonnegative")
@@ -142,8 +152,9 @@ def validate_pmf(offset: int, values) -> PMF:
     must lie within ``1e-6`` of one, otherwise :class:`NotNormalized`.
     Excess above one (always fp accumulation) is rescaled away; a deficit
     is kept and recorded as ``tail_mass_bound``.  Leading or trailing
-    zeros are folded into ``offset``.
+    zeros are folded into ``offset``, which must be an integer (ValueError).
     """
+    offset = integer_argument("offset", offset)
     v = np.array(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
         raise ValueError("values must be a nonempty 1-D vector of finite numbers")
@@ -158,7 +169,7 @@ def validate_pmf(offset: int, values) -> PMF:
     nonzero = np.nonzero(v)[0]
     v = v[nonzero[0] : nonzero[-1] + 1]
     deficit = max(0.0, 1.0 - float(v.sum()))
-    return PMF(int(offset) + int(nonzero[0]), v, tail_mass_bound=deficit)
+    return PMF(offset + int(nonzero[0]), v, tail_mass_bound=deficit)
 
 
 def convolve(f: PMF, g: PMF) -> PMF:

@@ -20,7 +20,8 @@ from .charfn import (
     support_width,
 )
 from .errors import NotApplicable, SupportTooSmall, TruncationUnsafe
-from .pmf import PMF, CumulantVector, SignedSequence, frozen_vector, is_minimum_phase
+from .pmf import PMF, CumulantVector, SignedSequence, frozen_vector, integer_argument
+from .pmf import is_minimum_phase
 
 # Largest imaginary residue a JSON coefficient file may record.
 IMAG_TOL = 1e-8
@@ -90,8 +91,10 @@ def complex_muculants(logcf: LogCharFnSamples, n_max: int) -> MuculantSeq:
 
 
 def require_index_range(n_points: int, n_max: int) -> None:
-    """Raise ValueError unless 1 <= n_max <= N/4, the aliasing guard of
-    coefficients read off an N-point grid."""
+    """Raise ValueError unless ``n_max`` is an integer (:func:`integer_argument`)
+    with 1 <= n_max <= N/4, the aliasing guard of coefficients read off an
+    N-point grid."""
+    integer_argument("n_max", n_max)
     if not 1 <= n_max <= n_points // 4:
         raise ValueError(f"n_max must be in 1..{n_points // 4} for this grid")
 

@@ -24,7 +24,14 @@ _SCREEN_GRID = FrequencyGrid(2048)
 
 
 def min_abs_charfn(f: PMF) -> float:
-    return float(np.min(np.abs(eval_charfn(f, _SCREEN_GRID).values)))
+    return float(np.min(np.abs(eval_charfn(f, _SCREEN_GRID).half)))
+
+
+def full_grid(cf) -> np.ndarray:
+    """Phi at mu = -pi, ..., pi - 2pi/N from ``CharFnSamples``: half[k] at
+    -mu_k, its conjugate at mu_k.  The inverse of :func:`half_of`."""
+    h = cf.grid.zero_index
+    return np.concatenate([cf.half[h:0:-1], np.conj(cf.half[:h])])
 
 
 def reference_is_hermitian(v) -> bool:

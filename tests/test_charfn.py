@@ -21,6 +21,7 @@ from muculants import (
     grid_analysis,
     grid_for_samples,
     grid_synthesis,
+    poisson_test,
     power_muculants,
     reconstruct_charfn,
     support_width,
@@ -35,7 +36,7 @@ from muculants.charfn import (
     unwrap_in_place,
 )
 
-from support import half_of, random_pmf, reference_is_hermitian, sampling_noise_draw
+from support import full_grid, half_of, random_pmf, reference_is_hermitian, sampling_noise_draw
 
 
 @pytest.mark.parametrize("n", [63, 65, 100, 32, 0])
@@ -80,7 +81,7 @@ def test_grid_ceiling_is_refused_at_construction():
         FrequencyGrid.for_width(1 << 24 | 1, 4096)
     with pytest.raises(ValueError, match=r"^sample range 0\.\.1000000000 needs more than 16777216"):
         grid_for_samples(np.array([0, 10**9]))
-    with pytest.raises(ValueError, match="^width 10 and n_max 1000000000 need more than 16777216"):
+    with pytest.raises(ValueError, match="^width 5 and n_max 1000000000 need more than 16777216"):
         grid_for_samples(np.arange(5), n_max=10**9)
 
 
@@ -272,10 +273,10 @@ def test_hermitian_check_matches_reference():
 def test_eval_charfn_basics():
     f = validate_pmf(0, [0.3, 0.7])
     cf = eval_charfn(f, FrequencyGrid(64))
-    assert cf.values[cf.grid.zero_index] == 1.0
+    assert full_grid(cf)[cf.grid.zero_index] == 1.0
     # Hermitian grid: Phi(-mu) = conj(Phi(mu))
     direct = 0.3 + 0.7 * np.exp(1j * cf.grid.points)
-    np.testing.assert_allclose(cf.values, direct, atol=1e-13)
+    np.testing.assert_allclose(full_grid(cf), direct, atol=1e-13)
 
 
 def test_eval_charfn_needs_resolution():
@@ -309,8 +310,8 @@ def test_empirical_charfn_is_sample_average():
         empirical_charfn(samples, g)
     cf = empirical_charfn(np.tile(samples, 20), g)  # the same average over 100 draws
     direct = np.mean(np.exp(1j * np.outer(g.points, samples)), axis=1)
-    np.testing.assert_allclose(cf.values, direct, atol=1e-12)
-    assert cf.values[g.zero_index] == 1.0
+    np.testing.assert_allclose(full_grid(cf), direct, atol=1e-12)
+    assert full_grid(cf)[g.zero_index] == 1.0
     assert cf.source == "empirical"
 
 
@@ -353,7 +354,7 @@ def test_empirical_charfn_is_the_mod_n_count_on_a_grid_that_resolves_the_draws()
                 empirical_charfn(x, FrequencyGrid(64))
             continue
         for grid in (smallest, FrequencyGrid(2 * smallest.n_points)):
-            got = empirical_charfn(x, grid).values
+            got = full_grid(empirical_charfn(x, grid))
             assert got.tobytes() == mod_n_empirical_values(x, grid).tobytes()
         if smallest.n_points > 64:
             with pytest.raises(GridTooCoarse):
@@ -370,7 +371,7 @@ def test_every_charfn_the_package_builds_is_exactly_hermitian():
     seq = MuculantSeq(-7, 12, 0.5 * rng.standard_normal(20), "complex", 0.0)
     built.append(reconstruct_charfn(seq, g))
     for cf in built:
-        v = cf.values
+        v = full_grid(cf)
         np.testing.assert_array_equal(v[1:h], np.conj(v[:h:-1]))
         assert v[0].imag == 0.0 and v[h].imag == 0.0, cf.source
 
@@ -387,19 +388,18 @@ def test_values_mirror_the_half_bit_for_bit():
         reconstruct_charfn(seq, g),
         zoo_charfn(Binomial(5, 0.7), g),
     ):
-        v, half = cf.values, cf.half
+        v, half = full_grid(cf), cf.half
         assert v.shape == (g.n_points,) and half.shape == (h + 1,)
         for k in range(1, h + 1):
             assert v[h - k].tobytes() == half[k].tobytes(), (cf.source, k)
         for k in range(h):
             assert v[h + k].tobytes() == np.conj(half[k]).tobytes(), (cf.source, k)
-        with pytest.raises(AttributeError):
-            cf.values = v  # derived, not stored
+        assert not hasattr(cf, "values")  # the type stores only the half
 
 
 @pytest.mark.parametrize("n", [64, 4096])
 def test_charfn_samples_refuse_a_full_grid_array(n):
-    full = eval_charfn(validate_pmf(0, [0.3, 0.7]), FrequencyGrid(n)).values
+    full = full_grid(eval_charfn(validate_pmf(0, [0.3, 0.7]), FrequencyGrid(n)))
     for source in ("exact-from-pmf", "empirical", "reconstructed"):
         with pytest.raises(ValueError, match=rf"^half must have length {n // 2 + 1}, got {n}$"):
             CharFnSamples(FrequencyGrid(n), full, source)
@@ -486,11 +486,11 @@ def test_complex_log_phase_is_odd_magnitude_even():
     cf = eval_charfn(f, FrequencyGrid(256))
     lg = complex_log(cf)
     # the half stores log conj(Phi); its Hermitian extension is the log of
-    # cf.values, phase odd and magnitude even, so both ends carry phase 0
+    # full_grid(cf), phase odd and magnitude even, so both ends carry phase 0
     assert lg.half[0].imag == 0.0
     assert lg.half[-1].imag == 0.0
     full = np.concatenate([lg.half[128:0:-1], np.conj(lg.half[:128])])
-    np.testing.assert_allclose(np.exp(full[1:]), cf.values[1:], atol=1e-12)
+    np.testing.assert_allclose(np.exp(full[1:]), full_grid(cf)[1:], atol=1e-12)
 
 
 def test_complex_log_pins_jump_midpoint_at_edge():
@@ -524,9 +524,13 @@ def test_every_vanishing_floor_raises_one_message():
         power_muculants(half, 5)
     # the empirical charfn of equally many zeros and ones is exactly 0 at pi
     xi = np.repeat([0, 1], 50)
-    with pytest.raises(CharFnVanishes) as exc:
-        estimate_muculants(xi, grid_for_samples(xi), 5)
-    assert str(exc.value) == "|charfn| reaches 0.000e+00, below the 1e-03 floor"
+    for route in (
+        lambda: estimate_muculants(xi, grid_for_samples(xi), 5),
+        lambda: poisson_test(xi, window=(-5, 5)),
+    ):
+        with pytest.raises(CharFnVanishes) as exc:
+            route()
+        assert str(exc.value) == "|charfn| reaches 0.000e+00, below the 1e-03 floor"
 
 
 def test_staged_route_holds_empirical_charfns_to_the_empirical_floor():
@@ -540,6 +544,7 @@ def test_staged_route_holds_empirical_charfns_to_the_empirical_floor():
         lambda: complex_log(cf),
         lambda: power_muculants(cf, 8),
         lambda: estimate_muculants(x, grid, 8),
+        lambda: poisson_test(x),
     ):
         with pytest.raises(CharFnVanishes) as exc:
             route()

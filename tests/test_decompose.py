@@ -274,6 +274,9 @@ def test_decompose_refusals():
     for n_max in (0, 257):
         with pytest.raises(ValueError, match="n_max must be in 1..256 for this grid"):
             decompose(g, n_max, grid=FrequencyGrid(1024))
+    for n_max in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer, got {n_max!r}$"):
+            decompose(g, n_max)
 
 
 def test_decompose_refuses_in_order_resolution_then_n_max_then_floor():

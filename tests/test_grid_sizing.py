@@ -129,7 +129,7 @@ def test_sample_grid_is_the_old_rule():
 
 
 def test_poisson_test_grid_is_the_old_rule_with_its_bump(monkeypatch):
-    grid_of = spy_grid(monkeypatch, inference_module, "estimate_muculants")
+    grid_of = spy_grid(monkeypatch, inference_module, "sample_histogram")
     for w, n_max in SHORT_SWEEP:
         if n_max == 0:
             continue  # the window always holds an index other than 0

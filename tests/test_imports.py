@@ -18,6 +18,10 @@ No linter ships with the test dependencies, so these are small stdlib-only
   so ``estimate_muculants`` calls ``empirical_charfn`` and ``decompose``
   calls ``eval_charfn``, each then ``complex_log`` and
   ``complex_muculants``;
+- one statistic for the test and its replicates: ``poisson_test`` scores
+  its sample's histogram with the replicates' batch, so it calls
+  ``sample_histogram`` and ``replicate_statistics`` and neither
+  ``estimate_muculants`` nor ``poisson_statistic``;
 - one transform convention: no module uses ``grid_synthesis`` or
   ``grid_analysis``, the full N-point transforms, which stay public in
   ``charfn.py`` only as references (every route runs on the half
@@ -172,6 +176,12 @@ def test_one_route_per_shape():
         ("decompose.py", "decompose", "eval_charfn"),
     ):
         assert staged | {synthesis} <= function_calls(sources[module], function), function
+
+
+def test_poisson_test_scores_its_sample_as_its_replicates():
+    calls = function_calls((PACKAGE / "inference.py").read_text(), "poisson_test")
+    assert {"sample_histogram", "replicate_statistics"} <= calls
+    assert not calls & {"estimate_muculants", "poisson_statistic"}
 
 
 def name_uses(source: str, name: str) -> list[int]:

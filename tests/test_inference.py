@@ -205,7 +205,7 @@ def test_replicate_kernel_matches_per_sample_route():
     grid = grid_for_samples(np.concatenate(samples))
     width = max(int(x.max()) for x in samples) - 1
     counts = np.array([np.bincount(x - 2, minlength=width) for x in samples])
-    got = replicate_statistics(counts, 2, grid, (-8, 8))
+    got, min_abs = replicate_statistics(counts, 2, grid, (-8, 8))
     want = []
     for x in samples:
         try:
@@ -217,6 +217,8 @@ def test_replicate_kernel_matches_per_sample_route():
     assert dropped[:-1].any() and not dropped[:-1].all() and dropped[-1]
     np.testing.assert_array_equal(np.isnan(got), dropped)
     assert np.array_equal(got[~dropped], want[~dropped])  # bit for bit
+    want_min = [np.abs(empirical_charfn(x, grid).half).min() for x in samples]
+    assert min_abs.tobytes() == np.array(want_min).tobytes()
 
 
 def reference_replicate_statistics(counts, offset, grid, window):
@@ -272,7 +274,7 @@ def test_replicate_kernel_matches_full_grid_reference(law, n_points):
     }
     offset, counts = sample_histograms(draws[law], 60)
     grid = FrequencyGrid(n_points)
-    got = replicate_statistics(counts, offset, grid, (-8, 8))
+    got, _ = replicate_statistics(counts, offset, grid, (-8, 8))
     want = reference_replicate_statistics(counts, offset, grid, (-8, 8))
     dropped = np.isnan(want)
     assert dropped.any() == (law == "poisson") and not dropped.all()
@@ -356,6 +358,9 @@ def test_half_spectrum_estimate_keeps_the_aliasing_guard():
     for n_max in (0, quarter + 1):
         with pytest.raises(ValueError, match=rf"n_max must be in 1\.\.{quarter} for this grid"):
             estimate_muculants(x, grid, n_max)
+    for n_max in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer, got {n_max!r}$"):
+            estimate_muculants(x, grid, n_max)
 
 
 def tied_histograms(rng, rows):
@@ -377,9 +382,9 @@ def test_floor_ties_fall_as_the_full_grid_decides(n_points):
     # spectrum must take the same bit as the full-grid synthesis
     grid = FrequencyGrid(n_points)
     counts = tied_histograms(np.random.default_rng([7, n_points]), 120)
-    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8)))
+    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8))[0])
     want = [
-        np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).values).min() >= 1e-3
+        np.abs(empirical_charfn(np.repeat(np.arange(len(c)), c), grid).half).min() >= 1e-3
         for c in counts
     ]
     np.testing.assert_array_equal(keep, want)
@@ -446,9 +451,10 @@ def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
             want = np.sum(np.ascontiguousarray(want_coef[:, usable]) ** 2, axis=-1)
             for points in chunk_settings(grid.n_points, len(weights)):
                 monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
-                got = replicate_statistics(weights, offset, grid, (-n_max, n_max))
+                got, got_min = replicate_statistics(weights, offset, grid, (-n_max, n_max))
                 np.testing.assert_array_equal(np.isnan(got), np.isnan(want_coef[:, 0]))
                 assert got.tobytes() == want.tobytes(), (label, grid.n_points, points)
+                assert got_min.tobytes() == want_min.tobytes(), (label, grid.n_points, points)
         else:
             coef, min_abs = staged_pmf_rows(weights, offset, grid, n_max)
             assert coef.tobytes() == want_coef.tobytes(), (label, grid.n_points)
@@ -459,9 +465,9 @@ def test_log_kernel_matches_the_pre_workspace_kernel_bit_for_bit(monkeypatch):
 
 
 def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
-    # a one-chunk call allocates its workspace, its statistics, the rfft and
-    # irfft outputs and a few per-row vectors: no other rows x N array; a
-    # second chunk adds only its statistics, as the first chunk's transform
+    # a one-chunk call allocates its workspace, its statistics and minima, the
+    # rfft and irfft outputs and a few per-row vectors: no other rows x N array;
+    # a second chunk adds only its statistics, as the first chunk's transform
     # outputs are freed before it allocates its own
     grid = FrequencyGrid(512)
     pmf = zoo_pmf(Geometric(0.25))
@@ -487,11 +493,11 @@ def test_log_kernel_allocates_over_the_grid_only_the_transform_outputs():
             footprints.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert np.isfinite(results[-1]).all()
+    assert np.isfinite(results[-1][0]).all()
     workspace, transforms = footprints[0], max(footprints[1:3])
     one_chunk, two_chunks = footprints[3:]
     halves = 32 * 257 * 8  # one float array over mu = 0..pi
-    result = 32 * 8  # the statistics of 32 rows
+    result = 2 * 32 * 8  # the statistics and minima of 32 rows
     assert one_chunk < workspace + transforms + result + halves // 4, footprints
     assert two_chunks < one_chunk + halves // 4, footprints
 
@@ -504,7 +510,7 @@ def test_replicate_statistics_memory_does_not_grow_with_the_window():
     grid = FrequencyGrid(4096)
     tracemalloc.start()
     try:
-        stats = replicate_statistics(counts, pmf.offset, grid, (-1000, 8))
+        stats, _ = replicate_statistics(counts, pmf.offset, grid, (-1000, 8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,17 +562,19 @@ def test_chunking_and_buffer_reuse_change_no_bit(monkeypatch, draw, n_points):
     for points in chunk_settings(n_points, 1000):
         monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
         results.append(poisson_test(x, seed=3))
-    stats = [s.tobytes() for s in seen]
-    assert len(stats) == 3 and stats[1:] == stats[:-1]
+    # each test scores its sample, then its replicates
+    observed = [s.tobytes() + m.tobytes() for s, m in seen[0::2]]
+    stats = [s.tobytes() for s, _ in seen[1::2]]
+    assert len(seen) == 6 and observed[1:] == observed[:-1] and stats[1:] == stats[:-1]
     assert results[1:] == results[:-1]
-    dropped = np.isnan(seen[0])
+    dropped = np.isnan(seen[1][0])
     assert dropped.any() and not dropped.all()  # the chunks move kept rows forward
 
 
 def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     grid = FrequencyGrid(128)
     counts = tied_histograms(np.random.default_rng([7, 128]), 120)
-    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8)))
+    keep = ~np.isnan(replicate_statistics(counts, 0, grid, (-8, 8))[0])
     kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     pairs = min(len(kept), len(dropped))
     assert pairs >= 20
@@ -574,7 +582,7 @@ def test_alternating_kept_and_dropped_rows_change_no_bit(monkeypatch):
     stats = []
     for points in chunk_settings(128, len(alternating)):
         monkeypatch.setattr(inference, "_CHUNK_POINTS", points)
-        stats.append(replicate_statistics(alternating, 0, grid, (-8, 8)))
+        stats.append(replicate_statistics(alternating, 0, grid, (-8, 8))[0])
     np.testing.assert_array_equal(np.isnan(stats[0]), np.arange(2 * pairs) % 2 == 1)
     assert stats[1].tobytes() == stats[0].tobytes() == stats[2].tobytes()
 
@@ -596,6 +604,34 @@ def test_replicate_statistics_builds_one_workspace_per_call(monkeypatch):
         built.clear()
         replicate_statistics(counts, pmf.offset, FrequencyGrid(128), (-8, 8))
         assert built == [(rows, 128)]
+
+
+def test_poisson_test_scores_its_sample_as_the_staged_route_bit_for_bit():
+    # criterion 7's three arms: the statistic is poisson_statistic of
+    # estimate_muculants, lambda_hat the sample mean, or both refuse alike
+    arms = (
+        lambda r: np.random.default_rng([31337, r]).poisson(3.0, 10**4),
+        lambda r: np.random.default_rng([31337, r]).poisson(1.0, 10**4),
+        lambda r: np.random.default_rng([77001, r]).geometric(0.5, 10**4) - 1,
+    )
+    refused = 0
+    for draw in arms:
+        for r in range(4):
+            x = draw(r)
+            for window in ((-8, 8), (2, 5), (-3, 20)):
+                n_max = max(-window[0], window[1])
+                try:
+                    want = poisson_statistic(estimate_muculants(x, grid_for_samples(x, n_max), n_max), window)
+                except CharFnVanishes as exc:
+                    with pytest.raises(CharFnVanishes) as got:
+                        poisson_test(x, window=window, n_bootstrap=20)
+                    assert str(got.value) == str(exc)
+                    refused += 1
+                    continue
+                res = poisson_test(x, window=window, n_bootstrap=20)
+                assert res.statistic.hex() == want.hex(), (r, window)
+                assert res.lambda_hat.hex() == float(x.mean()).hex(), (r, window)
+    assert 0 < refused < 36
 
 
 def test_poisson_sample_is_accepted():
@@ -645,6 +681,10 @@ def test_test_input_validation():
         poisson_test(good, alpha=1.0)
     with pytest.raises(ValueError):
         poisson_test(good, n_bootstrap=0)
+    for n_bootstrap in (2.5, True, "10"):
+        with pytest.raises(ValueError, match=rf"^n_bootstrap must be an integer, got {n_bootstrap!r}$"):
+            poisson_test(good, n_bootstrap=n_bootstrap)
+    assert poisson_test(good, n_bootstrap=np.int64(20)) == poisson_test(good, n_bootstrap=20)
     with pytest.raises(ValueError):
         poisson_test(good[:99])
 

@@ -570,7 +570,7 @@ def test_cli_refuses_grids_above_the_ceiling_before_using_them(capsys, tmp_path,
     code, out, err = run_cli(capsys, "cumulants", "--input", p, "--n-max", "1000000000")
     assert (code, out) == (2, "")
     assert err == (
-        "error: ValueError: width 4 and n_max 1000000000 need more than 16777216 grid points\n"
+        "error: ValueError: width 2 and n_max 1000000000 need more than 16777216 grid points\n"
     )
     code, out, err = run_cli(capsys, "muculants", "--dist", "poisson:lambda=2", "--grid", str(1 << 25))
     assert (code, out) == (2, "")

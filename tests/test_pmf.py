@@ -88,6 +88,17 @@ def test_pmf_requires_trimmed_vector():
         PMF(0, np.array([0.0, 1.0]))
 
 
+def test_pmf_offset_must_be_an_integer():
+    # 0.5 was stored by the constructor and truncated to 0 by validate_pmf
+    for offset in (0.5, True, "0"):
+        for build in (lambda: PMF(offset, np.array([1.0])), lambda: validate_pmf(offset, [1.0])):
+            with pytest.raises(ValueError, match=rf"^offset must be an integer, got {offset!r}$"):
+                build()
+    for build in (PMF, validate_pmf):
+        f = build(np.int64(-2), np.array([0.25, 0.75]))
+        assert type(f.offset) is int and f.offset == -2
+
+
 def test_pmf_is_immutable():
     f = validate_pmf(0, [0.25, 0.75])
     with pytest.raises(ValueError):
@@ -207,7 +218,7 @@ def test_step_down_matches_root_finder_on_zoo_laws_above_the_floor():
     for spec in CAUSAL_ZOO_SWEEP:
         f = zoo_pmf(spec)
         grid = FrequencyGrid.for_width(support_width(f))
-        if np.abs(eval_charfn(f, grid).values).min() < 1e-8:
+        if np.abs(eval_charfn(f, grid).half).min() < 1e-8:
             continue
         assert is_minimum_phase(f) is all_zeros_inside(f), spec
         checked += 1

@@ -42,6 +42,7 @@ from muculants.inference import replicate_statistics
 
 from support import (
     CAUSAL_ZOO_SWEEP,
+    full_grid,
     grid_muculants,
     half_of,
     random_pmf,
@@ -123,6 +124,13 @@ def test_n_max_capped_by_grid():
         complex_muculants(lg, 17)
     with pytest.raises(ValueError):
         complex_muculants(lg, 0)
+    # an index bound is refused, not truncated (2.5 used to raise IndexError)
+    cf = eval_charfn(validate_pmf(0, [0.6, 0.4]), FrequencyGrid(64))
+    for n_max in (2.5, True, "8"):
+        for call in (lambda: complex_muculants(lg, n_max), lambda: power_muculants(cf, n_max)):
+            with pytest.raises(ValueError, match=rf"^n_max must be an integer, got {n_max!r}$"):
+                call()
+    assert complex_muculants(lg, np.int64(16)).n_max == 16
 
 
 def test_non_odd_phase_is_an_error():
@@ -224,7 +232,8 @@ def test_log_kernel_refuses_rows_below_its_floor():
     x = sampling_noise_draw()
     grid = grid_for_samples(x, 8)
     assert np.abs(empirical_charfn(x, grid).half).min() == pytest.approx(8.0e-4, rel=1e-9)
-    assert np.isnan(replicate_statistics(np.bincount(x)[None], 0, grid, (-8, 8))).all()
+    stats, min_abs = replicate_statistics(np.bincount(x)[None], 0, grid, (-8, 8))
+    assert np.isnan(stats).all() and min_abs[0] == np.abs(empirical_charfn(x, grid).half).min()
 
 
 # ---------------------------------------------- one transform convention
@@ -470,7 +479,7 @@ def test_reconstruct_charfn_poisson():
     g = FrequencyGrid(256)
     cf = reconstruct_charfn(m, g)
     np.testing.assert_allclose(
-        cf.values, np.exp(2.0 * (np.exp(1j * g.points) - 1.0)), atol=1e-9
+        full_grid(cf), np.exp(2.0 * (np.exp(1j * g.points) - 1.0)), atol=1e-9
     )
 
 
@@ -478,14 +487,14 @@ def test_reconstruct_charfn_of_nothing_is_one():
     m = MuculantSeq(0, 0, np.zeros(1), "complex", 0.0)
     for n in (64, 4096):
         cf = reconstruct_charfn(m, FrequencyGrid(n))
-        np.testing.assert_allclose(cf.values, 1.0, atol=0)
+        np.testing.assert_allclose(full_grid(cf), 1.0, atol=0)
 
 
 def test_reconstruct_charfn_geometric_truncation_error():
     m = zoo_muculants(Geometric(0.5), (-60, 60))
     g = FrequencyGrid(256)
     exact = 0.5 / (1.0 - 0.5 * np.exp(1j * g.points))
-    np.testing.assert_allclose(reconstruct_charfn(m, g).values, exact, atol=1e-12)
+    np.testing.assert_allclose(full_grid(reconstruct_charfn(m, g)), exact, atol=1e-12)
 
 
 def test_reconstruct_charfn_rejects_power_kind():
@@ -526,7 +535,7 @@ def test_reconstruct_sequence_rejects_power_kind():
 def test_reconstruct_charfn_is_exactly_hermitian():
     rng = np.random.default_rng(9)
     m = MuculantSeq(-7, 12, 3.0 * rng.standard_normal(20), "complex", 0.0)
-    v = reconstruct_charfn(m, FrequencyGrid(128)).values
+    v = full_grid(reconstruct_charfn(m, FrequencyGrid(128)))
     np.testing.assert_array_equal(v[1:64], np.conj(v[:64:-1]))
     assert v[0].imag == 0.0 and v[64].imag == 0.0
 
@@ -538,7 +547,7 @@ LARGE = MuculantSeq(0, 1, np.array([0.0, 10.0]), "complex", 0.0)
 def test_reconstruct_charfn_of_a_large_charfn():
     g = FrequencyGrid(256)
     np.testing.assert_allclose(
-        reconstruct_charfn(LARGE, g).values, np.exp(10.0 * np.exp(1j * g.points)), rtol=1e-14, atol=0
+        full_grid(reconstruct_charfn(LARGE, g)), np.exp(10.0 * np.exp(1j * g.points)), rtol=1e-14, atol=0
     )
 
 
@@ -557,7 +566,7 @@ def test_reconstruct_accepts_a_charfn_whose_fft_rounding_beats_the_hermitian_sla
         with pytest.raises(ValueError, match="Hermitian"):
             reference_reconstruct_charfn(m, g)
         want = np.exp(3.0 + 10.0 * np.exp(1j * g.points))
-        np.testing.assert_allclose(reconstruct_charfn(m, g).values, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(full_grid(reconstruct_charfn(m, g)), want, rtol=1e-14, atol=0)
     seq = reconstruct_sequence(m, (-10, 80))
     want = np.array([math.exp(3.0) * 10.0**x / math.factorial(x) if x >= 0 else 0.0 for x in range(-10, 81)])
     assert np.max(np.abs(seq.values - want)) <= 1e-11 * want.max()
@@ -648,7 +657,7 @@ def sweep_sequences():
 def test_reconstruct_charfn_matches_the_full_grid_route():
     for seq in sweep_sequences():
         for n in (64, 512, 4096):
-            got = reconstruct_charfn(seq, FrequencyGrid(n)).values
+            got = full_grid(reconstruct_charfn(seq, FrequencyGrid(n)))
             want = reference_reconstruct_charfn(seq, FrequencyGrid(n))
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, (seq.n_min, seq.n_max, n)
