@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharFnVanishes, EmptySample, GridTooCoarse
-from .pmf import PMF, frozen_vector
+from .pmf import PMF, frozen_vector, integer_argument
 
 DEFAULT_GRID_SIZE = 4096
 
@@ -41,12 +41,12 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self):
-        n = self.n_points
-        if not isinstance(n, (int, np.integer)) or n < 64 or n & (n - 1):
+        n = integer_argument("n_points", self.n_points)
+        if n < 64 or n & (n - 1):
             raise ValueError("n_points must be a power of two, at least 64")
         if n > MAX_GRID_POINTS:
             raise ValueError(f"n_points must be at most {MAX_GRID_POINTS}, got {n}")
-        object.__setattr__(self, "n_points", int(n))
+        object.__setattr__(self, "n_points", n)
 
     @property
     def points(self) -> np.ndarray:
@@ -62,9 +62,11 @@ class FrequencyGrid:
         """Smallest admissible grid with at least ``minimum`` points, four per
         index of a support ``width`` wide (the phase resolution
         :func:`require_resolution` asks for) and four per coefficient index
-        up to ``n_max`` (the transforms' aliasing guard).  ValueError names
-        the width and ``n_max`` when they need more than 2^24 points."""
-        n = max(64, minimum, 4 * int(width), 4 * int(n_max))
+        up to ``n_max`` (the transforms' aliasing guard).  ValueError unless
+        each is an integer (:func:`integer_argument`), and names the width and
+        ``n_max`` when they need more than 2^24 points."""
+        width, n_max = integer_argument("width", width), integer_argument("n_max", n_max)
+        n = max(64, integer_argument("minimum", minimum), 4 * width, 4 * n_max)
         if n > MAX_GRID_POINTS:
             raise ValueError(
                 f"width {width} and n_max {n_max} need more than {MAX_GRID_POINTS} grid points"
@@ -111,7 +113,8 @@ def integer_samples(samples) -> np.ndarray:
     """The samples as a 1-D int64 array.
 
     Raises :class:`EmptySample` when there are none and ValueError unless
-    they form a 1-D vector of integers.
+    they form a 1-D vector of integers (bools are not integers, as in
+    :func:`integer_argument`).
     """
     x = np.asarray(samples)
     if x.size == 0:
@@ -119,7 +122,7 @@ def integer_samples(samples) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("samples must be a 1-D vector")
     xi = np.asarray(x, dtype=np.int64)
-    if not np.array_equal(xi, x):
+    if x.dtype == bool or not np.array_equal(xi, x):
         raise ValueError("samples must be integers")
     return xi
 
@@ -132,7 +135,7 @@ def grid_synthesis(coeffs, offset: int, grid: FrequencyGrid) -> np.ndarray:
     (N even), so folding changes nothing.  Works over the trailing axis, so
     a stack of sequences sharing ``offset`` is synthesized in one call.
     """
-    folded = fold_indices(coeffs, offset, grid.n_points)
+    folded = fold_indices(coeffs, integer_argument("offset", offset), grid.n_points)
     folded[..., 1::2] *= -1.0  # e^{-j pi xi}: the grid starts at mu = -pi
     return np.fft.ifft(folded, norm="forward")
 
@@ -150,7 +153,7 @@ def fold_indices(coeffs, offset: int, n: int, out=None) -> np.ndarray:
     else:
         out.fill(0.0)
     length = c.shape[-1]
-    i, b = 0, int(offset) % n  # coefficient i lands in bin b
+    i, b = 0, offset % n  # coefficient i lands in bin b
     while i < length:
         step = min(n - b, length - i)
         out[..., b : b + step] += c[..., i : i + step]

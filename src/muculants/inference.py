@@ -86,12 +86,10 @@ def estimate_muculants(samples, grid: FrequencyGrid, n_max: int) -> MuculantSeq:
 def _window_mask(window, ns=None) -> np.ndarray:
     """Mask of the window's usable indices among ``ns`` (default -n..n,
     n = max(|lo|, |hi|, 1), the range the bootstrap computes, at most
-    MAX_GRID_POINTS / 4).  ValueError unless the bounds are integers,
-    lo <= hi, the window lies inside ``ns`` and it holds an index other than
-    0 and 1: nothing is truncated."""
-    lo, hi = window
-    if not all(isinstance(b, (int, np.integer)) for b in (lo, hi)):
-        raise ValueError(f"window bounds must be integers, got ({lo!r}, {hi!r})")
+    MAX_GRID_POINTS / 4).  ValueError unless the bounds are integers
+    (:func:`integer_argument`), lo <= hi, the window lies inside ``ns`` and
+    it holds an index other than 0 and 1: nothing is truncated."""
+    lo, hi = (integer_argument("window bound", b) for b in window)
     if lo > hi:
         raise ValueError("window range is empty")
     if ns is None:
@@ -131,7 +129,7 @@ def replicate_statistics(counts, offset: int, grid: FrequencyGrid, window) -> tu
     :func:`_chunk_statistics` ``_CHUNK_POINTS`` grid points at a time, in
     one :func:`_workspace` per call; no bit depends on the chunks.
     """
-    counts = np.asarray(counts)
+    counts, offset = np.asarray(counts), integer_argument("offset", offset)
     require_sample_size(counts.sum(axis=-1))
     mask = _window_mask(window)
     n = grid.n_points
@@ -237,15 +235,17 @@ def poisson_test(
     ``n_bootstrap_used`` records how many replicates entered.
 
     Exit states: errors for negative or non-integer samples, fewer than
-    100 observations, a non-integer or nonpositive ``n_bootstrap``, or a
-    window with non-integer bounds, no range or no index other than 0 and 1.
+    100 observations, a non-integer or nonpositive ``n_bootstrap``, a
+    non-integer ``seed``, or a window with non-integer bounds, no range or
+    no index other than 0 and 1.
     """
     xi = integer_samples(samples)
     if np.min(xi) < 0:
         raise NegativeSampleValue("Poisson samples must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if integer_argument("n_bootstrap", n_bootstrap) < 1:
+    n_bootstrap, seed = integer_argument("n_bootstrap", n_bootstrap), integer_argument("seed", seed)
+    if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be positive")
     n_max = len(_window_mask(window)) // 2
 
@@ -273,7 +273,7 @@ def poisson_test(
         p_value=p_value,
         reject=bool(stat > threshold),
         window=(int(window[0]), int(window[1])),
-        n_bootstrap=int(n_bootstrap),
-        seed=int(seed),
+        n_bootstrap=n_bootstrap,
+        seed=seed,
         n_bootstrap_used=int(arr.size),
     )

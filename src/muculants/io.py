@@ -12,11 +12,10 @@ import numpy as np
 from .decompose import Decomposition
 from .errors import EmptySample
 from .inference import PoissonTestResult
-from .pmf import PMF, CumulantVector, SignedSequence, integer_argument, validate_pmf
+from .pmf import PMF, CumulantVector, SignedSequence, integer_argument, is_number, validate_pmf
 from .transform import MuculantSeq
 
 _INT64 = np.iinfo(np.int64)
-_MAX_DOUBLE = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
 _FLOAT_FORMAT = ".17g"  # 17 significant digits: every double round-trips
 
 
@@ -117,7 +116,7 @@ def indexed_csv(label: str, indices, values) -> str:
 # object <-> dict
 
 def pmf_to_dict(f: PMF) -> dict:
-    d = {"offset": int(f.offset), "probs": f.probs.tolist()}
+    d = {"offset": f.offset, "probs": f.probs.tolist()}
     if f.tail_mass_bound:
         d["tail_mass_bound"] = float(f.tail_mass_bound)
     return d
@@ -129,19 +128,11 @@ def _integer_field(d: dict, field: str) -> int:
     return integer_argument(f'"{field}"', d[field])
 
 
-def _is_number(value) -> bool:
-    """The one JSON number rule: an int or float, not a bool, and no integer
-    beyond the largest double."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    return not isinstance(value, int) or abs(value) <= _MAX_DOUBLE
-
-
 def _number_field(d: dict, field: str) -> float:
     """``d[field]`` (0.0 when absent) when it is a number; a bool, string
     or integer beyond the largest double is refused rather than coerced."""
     value = d.get(field, 0.0)
-    if not _is_number(value):
+    if not is_number(value):
         raise ValueError(f'"{field}" must be a number, got {value!r}')
     return float(value)
 
@@ -154,7 +145,7 @@ def _number_list(d: dict, field: str):
     values = d[field]
     if isinstance(values, list) and not set(map(type, values)) <= {float}:
         for i, value in enumerate(values):
-            if not _is_number(value):
+            if not is_number(value):
                 raise ValueError(f'"{field}"[{i}] must be a number, got {value!r}')
     return values
 
@@ -172,8 +163,8 @@ def pmf_from_dict(d: dict) -> PMF:
 def muculants_to_dict(seq: MuculantSeq) -> dict:
     return {
         "kind": seq.kind,
-        "n_min": int(seq.n_min),
-        "n_max": int(seq.n_max),
+        "n_min": seq.n_min,
+        "n_max": seq.n_max,
         "values": seq.values.tolist(),
         "imag_residual": float(seq.imag_residual),
     }
@@ -194,7 +185,7 @@ def muculants_from_dict(d: dict) -> MuculantSeq:
 
 def sequence_to_dict(s: SignedSequence) -> dict:
     return {
-        "offset": int(s.offset),
+        "offset": s.offset,
         "values": s.values.tolist(),
         "sum": float(s.sum),
     }
@@ -228,7 +219,7 @@ def test_result_to_dict(r: PoissonTestResult) -> dict:
         "threshold": r.threshold,
         "p_value": r.p_value,
         "reject": r.reject,
-        "window": [int(r.window[0]), int(r.window[1])],
+        "window": list(r.window),
         "n_bootstrap": r.n_bootstrap,
         "n_bootstrap_used": r.n_bootstrap_used,
         "seed": r.seed,

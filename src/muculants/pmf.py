@@ -18,6 +18,8 @@ _MINPHASE_MARGIN = 1e-10
 
 MAX_MOMENT_ORDER = 12
 
+_MAX_DOUBLE = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
+
 
 def frozen_vector(obj, name: str, length=None, dtype=np.float64) -> np.ndarray:
     """Freeze array field ``name`` of the frozen dataclass ``obj`` in place.
@@ -45,6 +47,14 @@ def integer_argument(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_number(value) -> bool:
+    """The one number rule: an int or float, Python or numpy, not a bool, and
+    no integer beyond the largest double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return not isinstance(value, int) or abs(value) <= _MAX_DOUBLE
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,7 @@ class SignedSequence:
     sum: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", integer_argument("offset", self.offset))
         v = frozen_vector(self, "values")
         object.__setattr__(self, "sum", float(v.sum()))
 
@@ -120,7 +131,7 @@ class SignedSequence:
 
     def value_at(self, xi: int) -> float:
         """Entry at integer ``xi``; zero outside the stored window."""
-        i = xi - self.offset
+        i = integer_argument("xi", xi) - self.offset
         if 0 <= i < len(self.values):
             return float(self.values[i])
         return 0.0
@@ -139,7 +150,7 @@ class CumulantVector:
         return len(self.values)
 
     def kappa(self, k: int) -> float:
-        if not 1 <= k <= len(self.values):
+        if not 1 <= integer_argument("k", k) <= len(self.values):
             raise ValueError(f"order {k} outside stored range 1..{len(self.values)}")
         return float(self.values[k - 1])
 
@@ -193,7 +204,7 @@ def autocorrelation(f: PMF) -> PMF:
 def raw_moment(f: PMF, k: int) -> float:
     """E[X^k] from the stored mass.  Orders above 12 amplify truncation noise
     past anything the downstream tolerances can absorb, so they are refused."""
-    if not 1 <= k <= MAX_MOMENT_ORDER:
+    if not 1 <= integer_argument("k", k) <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_MOMENT_ORDER}")
     xi = f.support.astype(np.float64)
     return float(np.sum(xi**k * f.probs))

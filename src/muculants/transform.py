@@ -53,6 +53,8 @@ class MuculantSeq:
     imag_residual: float
 
     def __post_init__(self):
+        for name in ("n_min", "n_max"):
+            object.__setattr__(self, name, integer_argument(name, getattr(self, name)))
         if not (self.n_min <= 0 <= self.n_max):
             raise ValueError("index range must contain zero")
         v = frozen_vector(self, "values", self.n_max - self.n_min + 1)
@@ -75,7 +77,7 @@ class MuculantSeq:
 
     def value_at(self, n: int) -> float:
         """Coefficient at index ``n``; zero outside the computed range."""
-        i = n - self.n_min
+        i = integer_argument("n", n) - self.n_min
         if 0 <= i < len(self.values):
             return float(self.values[i])
         return 0.0
@@ -155,7 +157,7 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     p0 = float(f.probs[0])
     if p0 <= 1e-14:
         raise NotApplicable("leading probability vanishes")
-    if n_max < 0:
+    if integer_argument("n_max", n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     if not is_minimum_phase(f):
         raise NotApplicable("PMF is not minimum phase")
@@ -234,7 +236,7 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     transform identity; the windowed sum inherits that up to the discard
     budget.
     """
-    lo, hi = int(support[0]), int(support[1])
+    lo, hi = (integer_argument("support bound", b) for b in support)
     if lo > hi:
         raise ValueError("support range is empty")
     n = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min)).n_points
@@ -263,6 +265,7 @@ def cumulants_from_muculants(seq: MuculantSeq, k_max: int) -> CumulantVector:
     """
     if seq.kind != "complex":
         raise ValueError("cumulant read-off needs complex-kind coefficients")
+    k_max = integer_argument("k_max", k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ns = seq.indices

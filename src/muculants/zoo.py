@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .charfn import MAX_GRID_POINTS, CharFnSamples, FrequencyGrid
-from .pmf import PMF, CumulantVector
+from .pmf import PMF, CumulantVector, integer_argument, is_number
 from .transform import MuculantSeq
 
 # Infinite supports are truncated once the kept mass reaches 1 - this.
@@ -31,7 +31,7 @@ class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float, np.integer, np.floating)) and 0 < self.lam < 700):
+        if not (is_number(self.lam) and 0 < self.lam < 700):
             raise ValueError("lambda must lie in (0, 700)")
         object.__setattr__(self, "lam", float(self.lam))
 
@@ -41,13 +41,11 @@ class Degenerate:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)):
-            raise ValueError("point of mass must be an integer")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", integer_argument("m", self.m))
 
 
 def _check_p(p, *, forbid_half: bool) -> float:
-    if not (isinstance(p, (int, float, np.integer, np.floating)) and 0 < p < 1):
+    if not (is_number(p) and 0 < p < 1):
         raise ValueError("p must lie in (0, 1)")
     if forbid_half and p == 0.5:
         # Phi(pi) = 0 exactly; the coefficient sequence does not exist.
@@ -81,9 +79,9 @@ class NegativeBinomial:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
+        object.__setattr__(self, "r", integer_argument("r", self.r))
+        if self.r < 1:
             raise ValueError("r must be a positive integer")
-        object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "p", _check_p(self.p, forbid_half=False))
 
 
@@ -93,9 +91,9 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        object.__setattr__(self, "n", integer_argument("n", self.n))
+        if self.n < 1:
             raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", _check_p(self.p, forbid_half=True))
 
 
@@ -214,7 +212,7 @@ def _bernoulli_coeffs(p: float, ns: np.ndarray) -> np.ndarray:
 def zoo_muculants(spec: DistributionSpec, n_range) -> MuculantSeq:
     """Closed-form coefficient sequence on the inclusive range (n_lo, n_hi),
     within +-MAX_GRID_POINTS / 4, the largest ``n_max`` a grid route takes."""
-    lo, hi = int(n_range[0]), int(n_range[1])
+    lo, hi = (integer_argument("n_range bound", b) for b in n_range)
     if not lo <= 0 <= hi:
         raise ValueError("index range must contain zero")
     if max(-lo, hi) > MAX_GRID_POINTS // 4:
@@ -265,7 +263,7 @@ def zoo_cumulants(spec: DistributionSpec, k_max: int) -> CumulantVector:
     carried out in exact polynomial coefficient arithmetic and only then
     evaluated; binomial and negative binomial are the r-fold (n-fold) sums.
     """
-    if not 1 <= k_max <= MAX_CUMULANT_ORDER:
+    if not 1 <= integer_argument("k_max", k_max) <= MAX_CUMULANT_ORDER:
         raise ValueError(f"k_max must be in 1..{MAX_CUMULANT_ORDER}")
     if isinstance(spec, Poisson):
         vals = np.full(k_max, spec.lam)
@@ -322,7 +320,8 @@ def parse_spec(text: str) -> DistributionSpec:
         try:
             kwargs[field_name] = conv(raw)
         except ValueError:
-            raise ValueError(f"parameter {key!r} has non-numeric value {raw!r}") from None
+            problem = "must be an integer, got" if conv is int else "has non-numeric value"
+            raise ValueError(f"parameter {key!r} {problem} {raw!r}") from None
     missing = {f for f, _ in schema.values()} - set(kwargs)
     if missing:
         raise ValueError(f"family {name!r} is missing parameters: {sorted(missing)}")

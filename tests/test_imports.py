@@ -60,7 +60,11 @@ No linter ships with the test dependencies, so these are small stdlib-only
   charfn); the three coefficient readers, the batch's
   ``_chunk_statistics``, ``complex_muculants`` and ``power_muculants``,
   each call ``_cepstrum``, and ``_chunk_statistics`` and ``complex_log``
-  each call ``log_half``.
+  each call ``log_half``;
+- one integer rule: ``isinstance`` names ``np.integer`` only in
+  ``pmf.integer_argument``, the number rule ``pmf.is_number`` beside it,
+  and ``io.format_number``, which picks how to print a number; every other
+  integer argument goes through ``integer_argument``.
 """
 
 import ast
@@ -355,3 +359,46 @@ def test_the_log_arithmetic_has_one_home():
     }
     for (module, function), calls in stages.items():
         assert calls <= function_calls(sources[module], function), function
+
+
+def isinstance_owners(source: str, name: str) -> list[str]:
+    """Name of the function around each ``isinstance`` call whose class
+    argument names ``name`` (bare, dotted or in a tuple), in source order."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2
+            ):
+                classes = ast.walk(child.args[1])
+                if name in {getattr(n, "attr", getattr(n, "id", None)) for n in classes}:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_isinstance_owners():
+    source = (
+        "def f(x):\n    return isinstance(x, (int, np.integer))\n"
+        "def g(x):\n    return isinstance(x, np.floating) or isinstance(x, integer)\n"
+        "isinstance(y, np.integer)\n"
+    )
+    assert isinstance_owners(source, "integer") == ["f", "g", "<module>"]
+    assert isinstance_owners(source, "floating") == ["g"]
+    assert isinstance_owners("np.integer\nissubclass(t, np.integer)\n", "integer") == []
+
+
+def test_one_integer_rule():
+    owners = {p.name: isinstance_owners(p.read_text(), "integer") for p in PACKAGE.glob("*.py")}
+    assert {name: o for name, o in owners.items() if o} == {
+        "io.py": ["format_number"],
+        "pmf.py": ["integer_argument", "is_number"],
+    }

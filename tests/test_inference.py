@@ -175,7 +175,7 @@ def test_non_integer_window_bounds_are_refused(window):
         lambda: replicate_statistics(counts, 0, FrequencyGrid(128), window),
         lambda: poisson_test(x, window=window, n_bootstrap=10),
     ):
-        with pytest.raises(ValueError, match="window bounds must be integers"):
+        with pytest.raises(ValueError, match="window bound must be an integer"):
             call()
 
 

@@ -880,6 +880,11 @@ _SOURCE_REFUSALS = [
         ["cumulants", "--dist", "binomial:n=5,p=0.2,n=7"],
         "error: ValueError: parameter 'n' given twice\n",
     ),
+    # an integer parameter is named as one: 5.0 is a number, not an integer
+    (
+        ["zoo", "--dist", "binomial:n=5.0,p=0.2"],
+        "error: ValueError: parameter 'n' must be an integer, got '5.0'\n",
+    ),
     (["muculants", "--input", "{wide}"], _WIDE_RANGE),
     (["power-muculants", "--input", "{wide}"], _WIDE_RANGE),
     (["cumulants", "--input", "{wide}"], _WIDE_RANGE),

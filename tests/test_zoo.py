@@ -112,7 +112,7 @@ def test_parse_rejects_malformed_text(text):
         ("binomial:n=5,p=0.2,n=7", "parameter 'n' given twice"),
         ("Binomial:N=5,p=0.2,n=5", "parameter 'n' given twice"),  # the same key in any case
         ("poisson:lambda=abc", "parameter 'lambda' has non-numeric value 'abc'"),
-        ("binomial:n=5.0,p=0.2", "parameter 'n' has non-numeric value '5.0'"),
+        ("binomial:n=5.0,p=0.2", "parameter 'n' must be an integer, got '5.0'"),
         ("negbinomial:r=2,p=", "parameter 'p' has non-numeric value ''"),
     ],
 )
