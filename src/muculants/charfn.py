@@ -63,9 +63,12 @@ class FrequencyGrid:
         index of a support ``width`` wide (the phase resolution
         :func:`require_resolution` asks for) and four per coefficient index
         up to ``n_max`` (the transforms' aliasing guard).  ValueError unless
-        each is an integer (:func:`integer_argument`), and names the width and
-        ``n_max`` when they need more than 2^24 points."""
+        each is an integer (:func:`integer_argument`) and ``width`` and
+        ``n_max`` are nonnegative, and names the width and ``n_max`` when
+        they need more than 2^24 points."""
         width, n_max = integer_argument("width", width), integer_argument("n_max", n_max)
+        if width < 0 or n_max < 0:
+            raise ValueError(f"width {width} and n_max {n_max} must be nonnegative")
         n = max(64, integer_argument("minimum", minimum), 4 * width, 4 * n_max)
         if n > MAX_GRID_POINTS:
             raise ValueError(
@@ -165,10 +168,15 @@ def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
     """Trapezoidal Fourier coefficients (1/2pi) * integral(values * e^{-j mu n})
     of a grid-sampled 2pi-periodic function, for the integer indices ``ns``.
 
-    Works over the trailing axis, like :func:`grid_synthesis`."""
+    Works over the trailing axis, like :func:`grid_synthesis`.  ValueError
+    unless ``ns`` holds integers (bools are not integers, as in
+    :func:`integer_argument`)."""
     v = np.asarray(values)
     n = v.shape[-1]
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
+    if ns.dtype.kind not in "iu":
+        raise ValueError("indices must be integers")
+    ns = ns.astype(np.int64)
     if np.any(np.abs(ns) > n // 2):
         raise ValueError("requested index beyond the grid's unaliased range")
     signs = np.where(ns % 2 == 0, 1.0, -1.0)

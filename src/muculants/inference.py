@@ -236,8 +236,8 @@ def poisson_test(
 
     Exit states: errors for negative or non-integer samples, fewer than
     100 observations, a non-integer or nonpositive ``n_bootstrap``, a
-    non-integer ``seed``, or a window with non-integer bounds, no range or
-    no index other than 0 and 1.
+    non-integer or negative ``seed`` (refused before any work), or a window
+    with non-integer bounds, no range or no index other than 0 and 1.
     """
     xi = integer_samples(samples)
     if np.min(xi) < 0:
@@ -247,6 +247,8 @@ def poisson_test(
     n_bootstrap, seed = integer_argument("n_bootstrap", n_bootstrap), integer_argument("seed", seed)
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     n_max = len(_window_mask(window)) // 2
 
     grid = grid_for_samples(xi, n_max)

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import (
+    MAX_GRID_POINTS,
     CharFnSamples,
     FrequencyGrid,
     LogCharFnSamples,
     fold_indices,
     require_modulus,
-    span_width,
     support_width,
 )
 from .errors import NotApplicable, SupportTooSmall, TruncationUnsafe
@@ -223,12 +223,15 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     """Sequence whose charfn the coefficients describe, on a support window.
 
     ``support`` is an inclusive integer range ``(lo, hi)``.  The charfn is
-    taken on mu in [0, pi] of a grid with at least four points per index
-    of the window (origin included) and per coefficient index
-    (:func:`_half_charfn`), and one irfft gives the full period of the
-    sequence at x mod N.  Values outside the window are discarded, and if
-    the discarded magnitudes total more than 1e-6 the window was genuinely
-    too small and :class:`SupportTooSmall` is raised.
+    taken on mu in [0, pi] (:func:`_half_charfn`) and one irfft gives the
+    sequence aliased with period N, at x mod N.  No log is taken and no
+    phase unwrapped, so N need not resolve a phase: it holds the window
+    twice over (the N - width bins outside it see at least one window's
+    width of spill on either side) and four points per coefficient index.
+    Values outside the window are discarded, and if the discarded
+    magnitudes total more than 1e-6 the window was genuinely too small and
+    :class:`SupportTooSmall` is raised.  A window of more than 2^23 indices
+    is refused with a ValueError that names it, before anything is built.
 
     Returns a :class:`SignedSequence`: a truncated coefficient sequence
     need not describe a distribution, and no claim is made here about when
@@ -239,10 +242,12 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     lo, hi = (integer_argument("support bound", b) for b in support)
     if lo > hi:
         raise ValueError("support range is empty")
-    n = FrequencyGrid.for_width(span_width(lo, hi), n_max=max(seq.n_max, -seq.n_min)).n_points
+    width = hi - lo + 1
+    if 2 * width > MAX_GRID_POINTS:
+        raise ValueError(f"support {lo}:{hi} needs more than {MAX_GRID_POINTS} grid points")
+    n = FrequencyGrid.for_width(0, 2 * width, max(seq.n_max, -seq.n_min)).n_points
     # the period starting at lo: the window first, then everything outside
     full = np.roll(np.fft.irfft(_half_charfn(seq, n), n), -lo)
-    width = hi - lo + 1
     discarded = float(np.sum(np.abs(full[width:])))
     if discarded > 1e-6:
         raise SupportTooSmall(

@@ -67,6 +67,14 @@ def test_grid_for_width_carries_n_max():
     assert FrequencyGrid.for_width(10, minimum=4096, n_max=1500).n_points == 8192
 
 
+def test_grid_for_width_refuses_negative_sizes():
+    # for_width(-3, 64, -5) used to return a 64-point grid
+    for width, n_max in ((-3, -5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=f"^width {width} and n_max {n_max} must be nonnegative$"):
+            FrequencyGrid.for_width(width, 64, n_max)
+    assert FrequencyGrid.for_width(0).n_points == 64
+
+
 def test_grid_ceiling_is_refused_at_construction():
     # Only construct grids here: a grid allocates nothing until it is used,
     # while one complex array on a 2^32-point grid would take 64 GiB.
@@ -140,6 +148,16 @@ def test_analysis_rejects_aliased_indices():
     vals = grid_synthesis([1.0], 0, g)
     with pytest.raises(ValueError):
         grid_analysis(vals, [33])
+
+
+def test_analysis_refuses_non_integer_indices():
+    # [2.5, 3.7] used to be read as [2, 3]
+    vals = grid_synthesis([1.0, 2.0, 3.0, 4.0], 0, FrequencyGrid(64))
+    for ns in ([2.5, 3.7], np.array([2.0, 3.0]), [True, False], np.array([1j])):
+        with pytest.raises(ValueError, match="^indices must be integers$"):
+            grid_analysis(vals, ns)
+    want = grid_analysis(vals, np.array([2, 3]))
+    assert grid_analysis(vals, np.array([2, 3], dtype=np.uint8)).tobytes() == want.tobytes()
 
 
 # Straightforward forms of the grid kernels: scale the whole inverse FFT by N,

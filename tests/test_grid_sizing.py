@@ -1,5 +1,5 @@
-"""The one grid-sizing rule, ``FrequencyGrid.for_width``, against the five
-rules it replaced.
+"""The one grid-sizing rule, ``FrequencyGrid.for_width``, against the rules
+it replaced, and the period reconstruction inverts on.
 
 The references below are the formulas each caller used before the rule was
 shared, kept verbatim (up to argument plumbing) so that any drift in the
@@ -9,7 +9,7 @@ where some term crosses a power of two.  The sweeps cover every width in
 1..600 at each n_max next to such a crossing, and every n_max in 0..1200 at
 each width next to one (at four of them for the slower Poisson-test route);
 reconstruction windows lo..hi, -70 <= lo <= hi <= 70, at n_max next to a
-crossing.
+crossing, against ``reconstruction_period``.
 """
 
 import importlib
@@ -18,6 +18,7 @@ import numpy as np
 
 from muculants import (
     FrequencyGrid,
+    Geometric,
     MuculantSeq,
     decompose,
     grid_for_pmf,
@@ -25,6 +26,7 @@ from muculants import (
     poisson_test,
     reconstruct_sequence,
     validate_pmf,
+    zoo_pmf,
 )
 
 # the package namespace re-exports functions under their modules' names
@@ -56,16 +58,11 @@ def old_poisson_test_grid(lo, hi, n_max):
     return n
 
 
-def old_grid_for_reconstruction(n_max, lo, hi):
-    span = hi - lo + 1
-    n_limit = max(n_max, 1)
-    need = max(
-        64,
-        4 * span,
-        4 * n_limit,
-        2 * (max(hi, 0) + 1),
-        2 * (max(-lo, 0) + 1),
-    )
+def reconstruction_period(n_max, lo, hi):
+    """The period reconstruction inverts on: the window twice over and four
+    points per coefficient index.  An inverse transform of the charfn has
+    no phase to resolve, so the origin need not be in the range."""
+    need = max(64, 2 * (hi - lo + 1), 4 * n_max)
     return 1 << (need - 1).bit_length()
 
 
@@ -152,7 +149,7 @@ def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
         assert grid_of(decompose, pmfs[w], n_max) == want, (w, n_max)
 
 
-def test_reconstruction_grid_is_the_old_rule_where_the_window_holds_the_origin(monkeypatch):
+def test_reconstruction_period_holds_the_window_twice_over(monkeypatch):
     # the grid size the half-spectrum kernel receives
     grid_of = spy_grid(monkeypatch, transform_module, "_half_charfn")
     for n_max in (0, 16, 17, 64, 65, 128, 129, 1200):
@@ -163,9 +160,15 @@ def test_reconstruction_grid_is_the_old_rule_where_the_window_holds_the_origin(m
             seq = MuculantSeq(-n_max, 0, np.zeros(n_max + 1), "complex", 0.0)
         for lo in range(-70, 71):
             for hi in range(lo, 71):
-                new = grid_of(reconstruct_sequence, seq, (lo, hi))
-                old = old_grid_for_reconstruction(n_max, lo, hi)
-                if lo <= 0 <= hi:
-                    assert new == old, (n_max, lo, hi)
-                else:  # such windows can only gain points
-                    assert new >= old, (n_max, lo, hi)
+                got = grid_of(reconstruct_sequence, seq, (lo, hi))
+                assert got == reconstruction_period(n_max, lo, hi), (n_max, lo, hi)
+
+
+def test_decompose_of_a_wide_law_reconstructs_on_half_the_old_grid(monkeypatch):
+    # Geometric(0.01) has support 0..2749, so decompose's window -5500..5500
+    # holds 11001 indices: 32768 points, where the phase-resolution rule takes 65536
+    f = zoo_pmf(Geometric(0.01))
+    assert len(f) == 2750
+    grid_of = spy_grid(monkeypatch, transform_module, "_half_charfn")
+    assert grid_of(decompose, f, 100) == 32768 == reconstruction_period(100, -5500, 5500)
+    assert old_for_width(old_span_width(-5500, 5500)) == 65536

@@ -152,6 +152,17 @@ def test_the_seed_is_checked_before_any_work():
             call()
 
 
+def test_a_negative_seed_is_refused_before_any_work():
+    # it used to score the sample first and then fail inside numpy's generator
+    for call in (
+        lambda: poisson_test(DRAWS, seed=-1),
+        lambda: poisson_test(DRAWS[:99], seed=-1),
+        lambda: poisson_test(DRAWS, window=(0, 1), seed=-1),
+    ):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "samples", [np.ones(200, bool), [True, False] * 100], ids=("array", "list")
 )

@@ -589,17 +589,14 @@ def test_cli_names_the_width_a_refused_grid_was_sized_for(capsys, tmp_path):
     # refusal names that, not the 2^32-point grid it would have needed
     far = tmp_path / "far.json"
     far.write_text(dumps_json(pmf_to_dict(validate_pmf(10**9, [0.25, 0.75]))))
-    for argv, width, n_max in (
-        (("muculants", "--input", str(far)), 1000000002, 20),
-        (("decompose", "--input", str(far)), 1000000002, 100),
-        (("reconstruct", "--dist", "poisson:lambda=2", "--support", "0:1000000000"), 1000000001, 20),
+    for argv, refused in (
+        (("muculants", "--input", str(far)), "width 1000000002 and n_max 20 need"),
+        (("decompose", "--input", str(far)), "width 1000000002 and n_max 100 need"),
+        (("reconstruct", "--dist", "poisson:lambda=2", "--support", "0:1000000000"), "support 0:1000000000 needs"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert err == (
-            f"error: ValueError: width {width} and n_max {n_max} "
-            "need more than 16777216 grid points\n"
-        )
+        assert err == f"error: ValueError: {refused} more than 16777216 grid points\n"
 
 
 def test_cli_refuses_a_window_past_the_grid_ceiling_before_building_it(capsys, tmp_path):
@@ -749,6 +746,12 @@ def test_cli_window_takes_a_negative_low_end_as_a_separate_argument(capsys, tmp_
     narrow = run_cli(capsys, *base, "--window", "-4:4")
     assert narrow == run_cli(capsys, *base, "--window=-4:4")
     assert json.loads(narrow[1])["window"] == [-4, 4]
+
+
+def test_cli_refuses_a_negative_seed(capsys, tmp_path):
+    p = write_samples(tmp_path / "xs.txt", np.random.default_rng(3).poisson(3.0, 200))
+    code, out, err = run_cli(capsys, "poisson-test", "--input", p, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: ValueError: seed must be nonnegative\n")
 
 
 def test_cli_range_flags_still_need_a_value(capsys):

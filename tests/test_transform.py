@@ -53,6 +53,7 @@ from support import (
 
 # the package namespace re-exports functions under their modules' names
 decompose_module = importlib.import_module("muculants.decompose")
+transform_module = importlib.import_module("muculants.transform")
 
 
 def geometric_pmf(p: float):
@@ -591,6 +592,34 @@ def test_reconstruct_sequence_far_mass_is_too_small_a_window():
         reference_reconstruct_sequence(m, (-5, 5))
     with pytest.raises(SupportTooSmall):
         reconstruct_sequence(m, (-5, 5))
+
+
+def test_reconstruct_sequence_sees_spill_within_one_window_width():
+    # Poisson(2) and its mirror: all the mass lies within 30 of the origin,
+    # so a 200-wide window 170..200 away from it sees nothing inside and
+    # everything outside, on its left and on its right
+    causal = MuculantSeq(0, 1, np.array([-2.0, 2.0]), "complex", 0.0)
+    anticausal = MuculantSeq(-1, 0, np.array([2.0, -2.0]), "complex", 0.0)
+    for seq, (lo, hi) in ((causal, (200, 399)), (anticausal, (-399, -200))):
+        with pytest.raises(SupportTooSmall, match="^1.000e\\+00 of reconstructed magnitude"):
+            reconstruct_sequence(seq, (lo, hi))
+        # a period of one window (256 points) folds that mass into the window
+        # and hides it
+        folded = np.roll(np.fft.irfft(reconstruct_charfn(seq, FrequencyGrid(256)).half, 256), -lo)
+        assert np.sum(np.abs(folded[200:])) < 1e-12
+    for seq, (lo, hi) in ((causal, (0, 199)), (anticausal, (-199, 0))):
+        assert reconstruct_sequence(seq, (lo, hi)).sum == pytest.approx(1.0, abs=1e-14)
+
+
+def test_reconstruct_sequence_names_a_too_wide_window_before_building_it(monkeypatch):
+    def no_spectrum(*args, **kw):
+        raise AssertionError("the charfn was built for a refused window")
+
+    monkeypatch.setattr(transform_module, "_half_charfn", no_spectrum)
+    m = MuculantSeq(0, 1, np.array([-2.0, 2.0]), "complex", 0.0)
+    for lo, hi in ((0, 1 << 23), (-(10**9), 0)):
+        with pytest.raises(ValueError, match=f"^support {lo}:{hi} needs more than 16777216 grid points$"):
+            reconstruct_sequence(m, (lo, hi))
 
 
 # ------------------------------------- reconstruction against the full grid
