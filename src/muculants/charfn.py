@@ -174,11 +174,12 @@ def grid_analysis(values: np.ndarray, ns) -> np.ndarray:
     v = np.asarray(values)
     n = v.shape[-1]
     ns = np.asarray(ns)
-    if ns.dtype.kind not in "iu":
+    if ns.size and ns.dtype.kind not in "iu":
         raise ValueError("indices must be integers")
-    ns = ns.astype(np.int64)
-    if np.any(np.abs(ns) > n // 2):
+    # on the given dtype: a cast first would wrap a large unsigned index
+    if np.any((ns > n // 2) | (ns < -(n // 2))):
         raise ValueError("requested index beyond the grid's unaliased range")
+    ns = ns.astype(np.int64)
     signs = np.where(ns % 2 == 0, 1.0, -1.0)
     return signs * (np.fft.fft(v)[..., ns % n] / n)
 

@@ -17,6 +17,7 @@ from .charfn import (
     LogCharFnSamples,
     fold_indices,
     require_modulus,
+    span_width,
     support_width,
 )
 from .errors import NotApplicable, SupportTooSmall, TruncationUnsafe
@@ -225,13 +226,15 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     ``support`` is an inclusive integer range ``(lo, hi)``.  The charfn is
     taken on mu in [0, pi] (:func:`_half_charfn`) and one irfft gives the
     sequence aliased with period N, at x mod N.  No log is taken and no
-    phase unwrapped, so N need not resolve a phase: it holds the window
-    twice over (the N - width bins outside it see at least one window's
-    width of spill on either side) and four points per coefficient index.
+    phase unwrapped, so N need not resolve a phase: it holds twice the
+    smallest range that contains the window and the origin, and four points
+    per coefficient index.  Mass at the origin, or within that range's
+    width on either side of the window, then lands outside the window.
     Values outside the window are discarded, and if the discarded
     magnitudes total more than 1e-6 the window was genuinely too small and
-    :class:`SupportTooSmall` is raised.  A window of more than 2^23 indices
-    is refused with a ValueError that names it, before anything is built.
+    :class:`SupportTooSmall` is raised.  A range of more than 2^23 indices
+    is refused with a ValueError that names the window, before anything is
+    built.
 
     Returns a :class:`SignedSequence`: a truncated coefficient sequence
     need not describe a distribution, and no claim is made here about when
@@ -242,10 +245,10 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     lo, hi = (integer_argument("support bound", b) for b in support)
     if lo > hi:
         raise ValueError("support range is empty")
-    width = hi - lo + 1
-    if 2 * width > MAX_GRID_POINTS:
+    width, span = hi - lo + 1, span_width(lo, hi)
+    if 2 * span > MAX_GRID_POINTS:
         raise ValueError(f"support {lo}:{hi} needs more than {MAX_GRID_POINTS} grid points")
-    n = FrequencyGrid.for_width(0, 2 * width, max(seq.n_max, -seq.n_min)).n_points
+    n = FrequencyGrid.for_width(0, 2 * span, max(seq.n_max, -seq.n_min)).n_points
     # the period starting at lo: the window first, then everything outside
     full = np.roll(np.fft.irfft(_half_charfn(seq, n), n), -lo)
     discarded = float(np.sum(np.abs(full[width:])))

@@ -158,6 +158,12 @@ def test_analysis_refuses_non_integer_indices():
             grid_analysis(vals, ns)
     want = grid_analysis(vals, np.array([2, 3]))
     assert grid_analysis(vals, np.array([2, 3], dtype=np.uint8)).tobytes() == want.tobytes()
+    # checked before the cast: 2^64 - 1 used to wrap to index -1, and the
+    # most negative int64 has no absolute value
+    for ns in (np.array([2**64 - 1], np.uint64), np.array([np.iinfo(np.int64).min])):
+        with pytest.raises(ValueError, match="^requested index beyond the grid's unaliased range$"):
+            grid_analysis(vals, ns)
+    assert grid_analysis(vals, []).shape == (0,)
 
 
 # Straightforward forms of the grid kernels: scale the whole inverse FFT by N,

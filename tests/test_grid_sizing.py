@@ -59,10 +59,12 @@ def old_poisson_test_grid(lo, hi, n_max):
 
 
 def reconstruction_period(n_max, lo, hi):
-    """The period reconstruction inverts on: the window twice over and four
-    points per coefficient index.  An inverse transform of the charfn has
-    no phase to resolve, so the origin need not be in the range."""
-    need = max(64, 2 * (hi - lo + 1), 4 * n_max)
+    """The period reconstruction inverts on: twice the range that holds the
+    window and the origin, and four points per coefficient index.  An
+    inverse transform of the charfn has no phase to resolve, so it needs
+    two points per index of that range, not four; the origin stays in it so
+    that mass near the origin cannot wrap into a window far from it."""
+    need = max(64, 2 * old_span_width(lo, hi), 4 * n_max)
     return 1 << (need - 1).bit_length()
 
 
@@ -149,7 +151,7 @@ def test_pmf_grids_keep_every_grid_the_old_rule_could_use(monkeypatch):
         assert grid_of(decompose, pmfs[w], n_max) == want, (w, n_max)
 
 
-def test_reconstruction_period_holds_the_window_twice_over(monkeypatch):
+def test_reconstruction_period_holds_the_window_and_the_origin_twice_over(monkeypatch):
     # the grid size the half-spectrum kernel receives
     grid_of = spy_grid(monkeypatch, transform_module, "_half_charfn")
     for n_max in (0, 16, 17, 64, 65, 128, 129, 1200):

@@ -611,13 +611,28 @@ def test_reconstruct_sequence_sees_spill_within_one_window_width():
         assert reconstruct_sequence(seq, (lo, hi)).sum == pytest.approx(1.0, abs=1e-14)
 
 
+def test_reconstruct_sequence_refuses_a_window_far_from_the_mass():
+    # Poisson(2) and its mirror keep their mass within 30 of the origin; a
+    # period sized from the window alone (512 points for 512..711) wrapped
+    # that mass onto the window's first bins and returned it as the answer
+    causal = MuculantSeq(0, 1, np.array([-2.0, 2.0]), "complex", 0.0)
+    anticausal = MuculantSeq(-1, 0, np.array([2.0, -2.0]), "complex", 0.0)
+    for width in (1, 31, 200):
+        for lo in (*range(31, 1100, 7), 2047, 2048, 4096, 10**6):
+            hi = lo + width - 1
+            for seq, window in ((causal, (lo, hi)), (anticausal, (-hi, -lo))):
+                with pytest.raises(SupportTooSmall, match="^1.000e\\+00 of reconstructed magnitude"):
+                    reconstruct_sequence(seq, window)
+
+
 def test_reconstruct_sequence_names_a_too_wide_window_before_building_it(monkeypatch):
     def no_spectrum(*args, **kw):
         raise AssertionError("the charfn was built for a refused window")
 
     monkeypatch.setattr(transform_module, "_half_charfn", no_spectrum)
     m = MuculantSeq(0, 1, np.array([-2.0, 2.0]), "complex", 0.0)
-    for lo, hi in ((0, 1 << 23), (-(10**9), 0)):
+    # the range with the origin counts: 10**9..10**9+1 needs it as much as 0..10**9+1
+    for lo, hi in ((0, 1 << 23), (-(10**9), 0), (10**9, 10**9 + 1), (-(1 << 23) - 1, -(1 << 23))):
         with pytest.raises(ValueError, match=f"^support {lo}:{hi} needs more than 16777216 grid points$"):
             reconstruct_sequence(m, (lo, hi))
 
