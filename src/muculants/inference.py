@@ -191,8 +191,10 @@ def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
     if lam == 0.0:
         return 0, np.ones(1)
     spread = 20.0 * math.sqrt(lam) + 40.0  # the tails beyond hold far below 1e-16
-    k = np.arange(max(0, int(lam - spread)), int(lam + spread) + 1)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    lo, hi = max(0, int(lam - spread)), int(lam + spread) + 1
+    k = np.arange(lo, hi)
+    # over Python ints, not k's numpy scalars, which cost 4x in this loop
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(lo, hi)])
     p = np.exp(k * math.log(lam) - lam - log_fact)
     below = np.cumsum(p)
     above = np.cumsum(p[::-1])[::-1]

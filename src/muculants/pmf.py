@@ -232,14 +232,36 @@ def is_minimum_phase(f: PMF) -> bool:
     """Whether every zero of the support polynomial sum_xi f[xi] w^(L-1-xi)
     lies strictly inside the unit circle (modulus below 1 - 1e-10).
 
-    Schur-Cohn step-down, the Jury stability table (Marden, *Geometry of
-    Polynomials*, 1966, sections 42-43); no roots are computed.  The
-    coefficients are first scaled by rho^(L-1-i), rho = 1 - 1e-10, which
-    moves zeros of modulus rho onto the unit circle.  Each step takes the
-    reflection coefficient k = a[n]/a[0] and lowers the degree by one,
-    a <- (a[:n] - k a[n:0:-1]) / (1 - k^2): one vector operation per
-    degree, O(L^2) in all.  Every zero lies inside exactly when every step
-    has |k| < 1; the first |k| >= 1 returns False.
+    A PMF that falls by more than that margin at every step,
+    f[i+1] < (1 - 1e-10) f[i], is minimum phase without further work: by the
+    Enestrom-Kakeya theorem (Marden, *Geometry of Polynomials*, 1966) every
+    zero of a polynomial with positive coefficients has modulus at most its
+    largest ratio of consecutive coefficients, here max f[i+1]/f[i].  That
+    certificate is one vector comparison; an interior zero fails it and a
+    one-point law passes it.  Every other PMF goes to the Schur-Cohn
+    step-down, :func:`_step_down`.
+
+    Requires a causal PMF (offset >= 0); raises :class:`NotCausal` otherwise.
+    """
+    if f.offset < 0:
+        raise NotCausal("minimum-phase test requires offset >= 0")
+    p = f.probs
+    if np.all(p[1:] < (1.0 - _MINPHASE_MARGIN) * p[:-1]):
+        return True
+    return _step_down(p)
+
+
+def _step_down(probs: np.ndarray) -> bool:
+    """Whether every zero of sum_i probs[i] w^(L-1-i) has modulus below
+    1 - 1e-10, by the Schur-Cohn step-down.
+
+    The Jury stability table (Marden, sections 42-43); no roots are
+    computed.  The coefficients are first scaled by rho^(L-1-i),
+    rho = 1 - 1e-10, which moves zeros of modulus rho onto the unit circle.
+    Each step takes the reflection coefficient k = a[n]/a[0] and lowers the
+    degree by one, a <- (a[:n] - k a[n:0:-1]) / (1 - k^2): one vector
+    operation per degree, O(L^2) in all.  Every zero lies inside exactly
+    when every step has |k| < 1; the first |k| >= 1 returns False.
 
     The answer is only as good as the coefficients.  Rounding splits a
     zero of multiplicity m into m zeros spread over a radius of order
@@ -249,13 +271,9 @@ def is_minimum_phase(f: PMF) -> bool:
     step-down and the roots agree.  Binomial(30, 0.35) has a 30-fold zero
     at -0.54 and |Phi(pi)| about 2e-16: the step-down says False there,
     a companion-matrix root finder (``np.roots``) says True.
-
-    Requires a causal PMF (offset >= 0); raises :class:`NotCausal` otherwise.
     """
-    if f.offset < 0:
-        raise NotCausal("minimum-phase test requires offset >= 0")
-    n = len(f) - 1
-    a = f.probs * (1.0 - _MINPHASE_MARGIN) ** np.arange(n, -1, -1.0)
+    n = len(probs) - 1
+    a = probs * (1.0 - _MINPHASE_MARGIN) ** np.arange(n, -1, -1.0)
     while n:
         k = a[n] / a[0]
         if abs(k) >= 1.0:

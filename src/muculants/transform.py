@@ -147,7 +147,9 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
     only for minimum-phase inputs, so two guards run first:
 
     - :class:`NotApplicable` when the support does not start at zero, the
-      leading probability vanishes, or :func:`is_minimum_phase` is False;
+      leading probability vanishes, or :func:`is_minimum_phase` is False
+      (before that test, ValueError for an ``n_max`` outside
+      0..MAX_GRID_POINTS / 4, the index range of every grid route);
     - :class:`CharFnVanishes` when |Phi| dips below the 1e-8 floor on the
       smallest grid that resolves the support (the coefficients are then
       not numerically defined, as on every other route), read off one
@@ -160,6 +162,8 @@ def recursive_minphase_muculants(f: PMF, n_max: int) -> MuculantSeq:
         raise NotApplicable("leading probability vanishes")
     if integer_argument("n_max", n_max) < 0:
         raise ValueError("n_max must be nonnegative")
+    if n_max > MAX_GRID_POINTS // 4:
+        raise ValueError(f"n_max {n_max} reaches past {MAX_GRID_POINTS // 4}")
     if not is_minimum_phase(f):
         raise NotApplicable("PMF is not minimum phase")
     n = FrequencyGrid.for_width(support_width(f)).n_points
@@ -233,8 +237,8 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     Values outside the window are discarded, and if the discarded
     magnitudes total more than 1e-6 the window was genuinely too small and
     :class:`SupportTooSmall` is raised.  A range of more than 2^23 indices
-    is refused with a ValueError that names the window, before anything is
-    built.
+    is refused with a ValueError that names the window, and coefficients
+    past +-2^22 with one that names their range, before anything is built.
 
     Returns a :class:`SignedSequence`: a truncated coefficient sequence
     need not describe a distribution, and no claim is made here about when
@@ -248,7 +252,12 @@ def reconstruct_sequence(seq: MuculantSeq, support) -> SignedSequence:
     width, span = hi - lo + 1, span_width(lo, hi)
     if 2 * span > MAX_GRID_POINTS:
         raise ValueError(f"support {lo}:{hi} needs more than {MAX_GRID_POINTS} grid points")
-    n = FrequencyGrid.for_width(0, 2 * span, max(seq.n_max, -seq.n_min)).n_points
+    n_limit = max(seq.n_max, -seq.n_min)
+    if n_limit > MAX_GRID_POINTS // 4:
+        raise ValueError(
+            f"coefficient range {seq.n_min}..{seq.n_max} reaches past +-{MAX_GRID_POINTS // 4}"
+        )
+    n = FrequencyGrid.for_width(0, 2 * span, n_limit).n_points
     # the period starting at lo: the window first, then everything outside
     full = np.roll(np.fft.irfft(_half_charfn(seq, n), n), -lo)
     discarded = float(np.sum(np.abs(full[width:])))

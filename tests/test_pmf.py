@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from muculants import (
     PMF,
+    Bernoulli,
     Binomial,
     CharFnSamples,
     CumulantVector,
@@ -15,6 +18,7 @@ from muculants import (
     NegativeMass,
     NotCausal,
     NotNormalized,
+    Poisson,
     SignedSequence,
     autocorrelation,
     complex_log,
@@ -29,6 +33,8 @@ from muculants import (
 )
 
 from support import CAUSAL_ZOO_SWEEP, random_pmf
+
+pmf_module = importlib.import_module("muculants.pmf")
 
 
 def test_validate_clamps_fp_noise():
@@ -180,6 +186,9 @@ def test_cumulant_vector_order_access():
         ([0.7, 0.3], True),  # root of the transfer polynomial inside the circle
         ([0.3, 0.7], False),  # reflected pair: root outside
         ([1.0], True),
+        ([0.5, 0.5], False),  # flat: the root sits on the circle
+        ([0.5, 0.5 - 2.5e-11], False),  # falls, but by less than the 1e-10 margin
+        ([0.5, 0.5 - 1e-10], True),
     ],
 )
 def test_is_minimum_phase(probs, expected):
@@ -229,6 +238,65 @@ def test_step_down_on_a_long_support():
     f = zoo_pmf(Geometric(0.01))
     assert len(f) == 2750
     assert is_minimum_phase(f)
+
+
+def falls_at_every_step(f) -> bool:
+    """The certificate, restated: every ratio f[i+1]/f[i] below 1 - 1e-10."""
+    return all(b < (1.0 - 1e-10) * a for a, b in zip(f.probs[:-1], f.probs[1:]))
+
+
+def test_step_down_on_a_long_support_the_certificate_cannot_decide(monkeypatch):
+    # Bernoulli(0.4) puts 0.6 then 0.4 ahead of the slow Geometric tail, so
+    # the first ratio is above 1; the zeros sit at radius 0.99 and at -2/3
+    f = convolve(zoo_pmf(Geometric(0.01)), zoo_pmf(Bernoulli(0.4)))
+    assert len(f) == 2751 and f.probs[1] > f.probs[0]
+    calls = []
+    step_down = pmf_module._step_down
+    monkeypatch.setattr(pmf_module, "_step_down", lambda p: calls.append(len(p)) or step_down(p))
+    assert is_minimum_phase(f)
+    assert calls == [2751]
+
+
+def test_the_certificate_decides_falling_laws_and_the_step_down_the_rest(monkeypatch):
+    def no_step_down(probs):
+        raise AssertionError("the step-down ran")
+
+    monkeypatch.setattr(pmf_module, "_step_down", no_step_down)
+    for probs in ([1.0], [0.7, 0.3], [0.5, 0.3, 0.2]):
+        assert is_minimum_phase(validate_pmf(0, probs))
+    for spec in (Geometric(0.2), Geometric(0.01), Bernoulli(0.3), Binomial(5, 0.1)):
+        assert is_minimum_phase(zoo_pmf(spec))
+    # Poisson(2) rises from 0.135 to 0.271; an interior zero fails too
+    for f in (zoo_pmf(Poisson(2)), validate_pmf(0, [0.6, 0.0, 0.4])):
+        with pytest.raises(AssertionError, match="the step-down ran"):
+            is_minimum_phase(f)
+
+
+def test_the_certificate_implies_a_true_step_down():
+    # Enestrom-Kakeya bounds every zero by the largest ratio f[i+1]/f[i]:
+    # wherever the certificate holds, the step-down must agree
+    decided = 0
+    for spec in CAUSAL_ZOO_SWEEP:
+        f = zoo_pmf(spec)
+        if falls_at_every_step(f):
+            assert pmf_module._step_down(f.probs), spec
+            decided += 1
+    assert decided == 87
+    # strictly decreasing PMFs of 2..299 terms: sorted uniforms, many of
+    # whose ratios run close to 1, and products of ratios drawn from (r, 1)
+    rng = np.random.default_rng(20261022)
+    decided = 0
+    for i in range(3000):
+        length = int(rng.integers(2, 300))
+        if i % 2:
+            probs = np.sort(rng.random(length))[::-1]
+        else:
+            probs = np.cumprod(rng.uniform(rng.uniform(0.0, 0.99), 1.0, length))
+        f = validate_pmf(0, probs / probs.sum())
+        if falls_at_every_step(f):
+            assert pmf_module._step_down(f.probs), f.probs
+            decided += 1
+    assert decided == 3000
 
 
 def test_multiple_zero_below_the_floor_can_flip_the_predicate():

@@ -389,6 +389,16 @@ def test_recursion_n_max_zero_gives_log_leading_probability():
         recursive_minphase_muculants(f, -1)
 
 
+def test_recursion_refuses_an_index_range_past_the_grid_routes_before_any_work(monkeypatch):
+    def no_test(f):
+        raise AssertionError("the minimum-phase test ran")
+
+    monkeypatch.setattr(transform_module, "is_minimum_phase", no_test)
+    for n_max in (4194305, 10**9):
+        with pytest.raises(ValueError, match=f"^n_max {n_max} reaches past 4194304$"):
+            recursive_minphase_muculants(geometric_pmf(0.2), n_max)
+
+
 def test_recursion_requires_causal_start():
     with pytest.raises(NotApplicable):
         recursive_minphase_muculants(validate_pmf(1, [1.0]), 5)
@@ -635,6 +645,17 @@ def test_reconstruct_sequence_names_a_too_wide_window_before_building_it(monkeyp
     for lo, hi in ((0, 1 << 23), (-(10**9), 0), (10**9, 10**9 + 1), (-(1 << 23) - 1, -(1 << 23))):
         with pytest.raises(ValueError, match=f"^support {lo}:{hi} needs more than 16777216 grid points$"):
             reconstruct_sequence(m, (lo, hi))
+
+
+def test_reconstruct_sequence_names_a_coefficient_range_past_the_grid_routes():
+    # the grid for a window 0:5 would be sized for the coefficients alone;
+    # the refusal names their range, not a width the caller never gave
+    for n_min, n_max in ((0, (1 << 22) + 1), (-(1 << 22) - 1, 0)):
+        m = MuculantSeq(n_min, n_max, np.zeros(n_max - n_min + 1), "complex", 0.0)
+        with pytest.raises(
+            ValueError, match=f"^coefficient range {n_min}..{n_max} reaches past \\+-4194304$"
+        ):
+            reconstruct_sequence(m, (0, 5))
 
 
 # ------------------------------------- reconstruction against the full grid
